@@ -12,7 +12,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, std::string name
   b_.name = name + ".bias";
   b_.value.assign(out_, 0.0f);
   b_.grad.assign(out_, 0.0f);
-  w_view_.resize(out_, in_);
 }
 
 void Dense::init_xavier(util::Rng& rng) {
@@ -25,30 +24,30 @@ void Dense::init_xavier(util::Rng& rng) {
 
 const Matrix& Dense::forward(const Matrix& x, util::ThreadPool* pool) {
   assert(x.cols() == in_);
-  cached_input_ = x;
-  w_view_.storage() = w_.value;
-  matmul_nt(x, w_view_, output_, pool);
-  add_row_vector(output_, b_.value);
+  input_ = x.view();
+  output_.resize(x.rows(), out_);
+  matmul_nt(input_, weight_view(), b_.value.data(), output_.view(), pool);
   return output_;
 }
 
-const Matrix& Dense::backward(const Matrix& grad_out, util::ThreadPool* pool) {
+void Dense::accumulate_grads(const Matrix& grad_out, util::ThreadPool* pool) {
   assert(grad_out.cols() == out_);
-  assert(grad_out.rows() == cached_input_.rows());
+  assert(grad_out.rows() == input_.rows);
 
   // dW += grad_out^T * X  ([out, batch] x [batch, in] -> [out, in])
-  matmul_tn(grad_out, cached_input_, dw_scratch_, pool);
-  for (std::size_t i = 0; i < dw_scratch_.size(); ++i) {
-    w_.grad[i] += dw_scratch_.data()[i];
-  }
+  matmul_tn(grad_out.view(), input_, MatrixView{w_.grad.data(), out_, in_},
+            /*accumulate=*/true, pool);
 
   // db += column sums of grad_out
   column_sums(grad_out, db_scratch_);
   for (std::size_t i = 0; i < out_; ++i) b_.grad[i] += db_scratch_[i];
+}
 
+const Matrix& Dense::backward(const Matrix& grad_out, util::ThreadPool* pool) {
+  accumulate_grads(grad_out, pool);
   // dX = grad_out * W ([batch, out] x [out, in] -> [batch, in])
-  w_view_.storage() = w_.value;
-  matmul_nn(grad_out, w_view_, grad_input_, pool);
+  grad_input_.resize(grad_out.rows(), in_);
+  matmul_nn(grad_out.view(), weight_view(), grad_input_.view(), pool);
   return grad_input_;
 }
 

@@ -33,12 +33,18 @@ class Dense {
   /// limit = sqrt(6 / (fan_in + fan_out)). Biases start at zero.
   void init_xavier(util::Rng& rng);
 
-  /// X: [batch, in] -> returns [batch, out]. Caches X for backward.
+  /// X: [batch, in] -> returns [batch, out]. Keeps a view of X (no copy)
+  /// for backward, so X must stay alive and unchanged until then.
   const Matrix& forward(const Matrix& x, util::ThreadPool* pool = nullptr);
 
   /// grad_out: [batch, out] -> returns grad wrt input [batch, in].
   /// Accumulates into weight/bias gradients.
   const Matrix& backward(const Matrix& grad_out, util::ThreadPool* pool = nullptr);
+
+  /// The parameter half of backward(): accumulates the weight/bias
+  /// gradients and skips the input gradient (for a first layer, whose
+  /// input is data).
+  void accumulate_grads(const Matrix& grad_out, util::ThreadPool* pool = nullptr);
 
   void zero_grad();
 
@@ -50,17 +56,17 @@ class Dense {
   const Parameter& bias() const { return b_; }
 
  private:
+  ConstMatrixView weight_view() const { return {w_.value.data(), out_, in_}; }
+
   std::size_t in_;
   std::size_t out_;
   Parameter w_;  // [out, in] row-major
   Parameter b_;  // [out]
-  Matrix cached_input_;
+  ConstMatrixView input_;  // the last forward's X
+  // Reused across calls so steady-state forward/backward perform no heap
+  // allocation (the hot-path contract of the async learner).
   Matrix output_;
   Matrix grad_input_;
-  // Scratch reused across calls so steady-state forward/backward perform
-  // no heap allocation (the hot-path contract of the async learner).
-  Matrix w_view_;
-  Matrix dw_scratch_;
   std::vector<float> db_scratch_;
 };
 

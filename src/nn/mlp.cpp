@@ -44,13 +44,14 @@ const Matrix& Mlp::forward(const Matrix& x, util::ThreadPool* pool) {
 
 void Mlp::backward(const Matrix& grad_out, util::ThreadPool* pool) {
   const Matrix* grad = &grad_out;
-  for (std::size_t i = dense_.size(); i-- > 0;) {
-    if (i + 1 < dense_.size()) {
-      grad = activation_ == Activation::kTanh ? &tanh_[i].backward(*grad)
-                                              : &relu_[i].backward(*grad);
-    }
+  for (std::size_t i = dense_.size(); i-- > 1;) {
     grad = &dense_[i].backward(*grad, pool);
+    grad = activation_ == Activation::kTanh ? &tanh_[i - 1].backward(*grad)
+                                            : &relu_[i - 1].backward(*grad);
   }
+  // Nothing reads the gradient wrt the network input, so the first layer
+  // stops at its parameter gradients.
+  dense_[0].accumulate_grads(*grad, pool);
 }
 
 void Mlp::zero_grad() {

@@ -26,10 +26,12 @@ class Mlp {
   Mlp(const std::vector<std::size_t>& sizes, util::Rng& rng,
       Activation activation = Activation::kTanh);
 
-  /// X: [batch, input] -> [batch, output]. Caches activations for backward.
+  /// X: [batch, input] -> [batch, output]. Caches activations for backward
+  /// and keeps a view of X, which must outlive the matching backward().
   const Matrix& forward(const Matrix& x, util::ThreadPool* pool = nullptr);
 
-  /// grad wrt output: [batch, output]. Accumulates parameter gradients.
+  /// grad wrt output: [batch, output]. Accumulates parameter gradients;
+  /// the gradient wrt X is not computed.
   void backward(const Matrix& grad_out, util::ThreadPool* pool = nullptr);
 
   void zero_grad();

@@ -5,14 +5,40 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace capes::util {
+
+/// Non-owning reference to a callable taking an index: two pointers, no
+/// heap. The callable must outlive every call through the reference
+/// (parallel_for blocks until done, so a lambda written in its argument
+/// list is fine).
+class IndexFn {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, IndexFn> &&
+                std::is_invocable_v<F&, std::size_t>>>
+  IndexFn(F&& f)  // implicit, like std::function
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, std::size_t i) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(i);
+        }) {}
+
+  void operator()(std::size_t i) const { call_(obj_, i); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::size_t);
+};
 
 /// A minimal thread pool. Tasks are std::function<void()>; submit() returns
 /// a future for completion/result propagation. Destruction joins all
@@ -44,16 +70,42 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, n) split into roughly even contiguous chunks
-  /// across the pool (including the calling thread). Blocks until done.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// across the pool (including the calling thread). Blocks until done,
+  /// then rethrows the first exception any chunk threw. Allocation-free
+  /// once the chunk ring has grown to the peak number of chunks in flight;
+  /// safe to call from several threads at once.
+  void parallel_for(std::size_t n, IndexFn fn);
 
  private:
+  /// One parallel_for call; lives on the caller's stack.
+  struct Job {
+    explicit Job(IndexFn f) : fn(f) {}
+    IndexFn fn;
+    std::size_t pending = 0;  // queued or running worker chunks (mu_)
+    std::exception_ptr first_error;  // (mu_)
+  };
+  struct Chunk {
+    Job* job;
+    std::size_t begin;
+    std::size_t end;
+  };
+
   void worker_loop();
+  /// Runs [begin, end) of `job`, recording its first exception.
+  void run_chunk(Job& job, std::size_t begin, std::size_t end);
+  /// Makes room for `more` queued chunks (mu_ held).
+  void reserve_chunks(std::size_t more);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
+  // Ring of parallel_for chunks: slots are reused, so steady-state
+  // dispatch never touches the heap.
+  std::vector<Chunk> chunks_;
+  std::size_t chunk_head_ = 0;
+  std::size_t chunk_count_ = 0;
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       // work available / stop
+  std::condition_variable done_cv_;  // some job's last chunk finished
   bool stop_ = false;
 };
 

@@ -6,7 +6,7 @@
 //   * learner checkpoints written mid-phase rebuild a tuner that
 //     resumes training with the exact interrupted state;
 //   * the steady-state tick path performs zero heap allocations in
-//     the audited configuration.
+//     the audited configuration, serial and with a worker pool.
 
 #include <gtest/gtest.h>
 
@@ -161,16 +161,13 @@ TEST(LearnerIntegration, CheckpointRebuildsTunerMidTraining) {
   std::filesystem::remove_all(dir);
 }
 
-// The audited configuration: sync learner, no worker pool, memory-only
-// DB, bounded replay retention. After warm-up the per-tick control path
-// must not touch the heap at all.
-TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
-  if (!util::allocation_hook_active()) {
-    GTEST_SKIP() << "counting allocator hook not linked in";
-  }
+// The audited configuration: sync learner, memory-only DB, bounded replay
+// retention. After warm-up the per-tick control path must not touch the
+// heap at all. Returns the allocations across 80 steady-state ticks.
+std::uint64_t steady_state_tick_allocations(std::size_t worker_threads) {
   auto preset = learner_preset();
   preset.capes.engine.learner_mode = core::LearnerMode::kSync;
-  preset.capes.worker_threads = 0;
+  preset.capes.worker_threads = worker_threads;
   preset.capes.replay.max_ticks_retained = 64;
 
   sim::Simulator sim;
@@ -188,10 +185,26 @@ TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
   const std::uint64_t warm = capes.hot_path_allocations();
 
   capes.run_training(80);
-  const std::uint64_t after = capes.hot_path_allocations();
-  EXPECT_EQ(after - warm, 0u)
-      << "tick path allocated " << (after - warm)
-      << " times across 80 steady-state ticks";
+  return capes.hot_path_allocations() - warm;
+}
+
+TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
+  if (!util::allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  EXPECT_EQ(steady_state_tick_allocations(0), 0u)
+      << "tick path allocated across 80 steady-state ticks";
+}
+
+// The same audit with a worker pool: agent sampling, minibatch assembly
+// and the DQN's GEMMs fan out through ThreadPool::parallel_for, whose
+// dispatch must stay off the heap too.
+TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFreeWithWorkerPool) {
+  if (!util::allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  EXPECT_EQ(steady_state_tick_allocations(3), 0u)
+      << "pooled tick path allocated across 80 steady-state ticks";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -122,15 +124,107 @@ TEST(MatMul, TnMatchesReference) {
   expect_matrix_near(c, reference_nn(a, b));
 }
 
+/// The documented nt order: lane l sums the products p = l, l+8, ... in
+/// ascending p, then ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7)).
+float lane_dot(const float* a, const float* b, std::size_t k) {
+  float lane[8] = {};
+  for (std::size_t p = 0; p < k; ++p) lane[p % 8] += a[p] * b[p];
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+void expect_matrix_eq(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "index " << i;
+  }
+}
+
+/// Batch x (in -> out) Dense-layer shapes: the DQN's own (8/16/32-domain
+/// observations into 128 hidden units, 128 -> 128, and 128 into 33/65/129
+/// actions), plus odd sizes whose k, row count and column count are not
+/// multiples of the 8 lanes or the 4/8-row blocks, big enough to fan out.
+struct LayerShape {
+  std::size_t batch, in, out;
+};
+const LayerShape kLayerShapes[] = {
+    {32, 1800, 128}, {32, 3600, 128}, {32, 7200, 128}, {32, 128, 128},
+    {32, 128, 33},   {32, 128, 65},   {32, 128, 129},  {1, 1800, 128},
+    {37, 263, 45},   {29, 1801, 13},  {3, 5, 7},       {70, 97, 131},
+};
+
+// Pooled kernels are bit-identical to serial ones at every thread count
+// (row partitioning never changes an element's summation order), and
+// match the documented order exactly.
 TEST(MatMul, ThreadPoolMatchesSerial) {
+  util::ThreadPool pool1(1), pool3(3), pool7(7);
+  util::ThreadPool* const pools[] = {nullptr, &pool1, &pool3, &pool7};
   util::Rng rng(5);
-  util::ThreadPool pool(3);
-  Matrix a = random_matrix(64, 48, rng);
-  Matrix b = random_matrix(48, 32, rng);
-  Matrix serial, parallel;
-  matmul_nn(a, b, serial);
-  matmul_nn(a, b, parallel, &pool);
-  expect_matrix_near(parallel, serial, 1e-6f);
+  for (const LayerShape& s : kLayerShapes) {
+    SCOPED_TRACE(std::to_string(s.batch) + "x" + std::to_string(s.in) + "->" +
+                 std::to_string(s.out));
+    const Matrix x = random_matrix(s.batch, s.in, rng);
+    const Matrix w = random_matrix(s.out, s.in, rng);
+    const Matrix g = random_matrix(s.batch, s.out, rng);
+    const Matrix bias = random_matrix(1, s.out, rng);
+
+    Matrix nt_ref(s.batch, s.out), nn_ref(s.batch, s.in), tn_ref(s.out, s.in);
+    for (std::size_t i = 0; i < s.batch; ++i) {
+      for (std::size_t j = 0; j < s.out; ++j) {
+        nt_ref.at(i, j) = lane_dot(x.row(i), w.row(j), s.in) + bias.at(0, j);
+      }
+      for (std::size_t j = 0; j < s.in; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < s.out; ++p) acc += g.at(i, p) * w.at(p, j);
+        nn_ref.at(i, j) = acc;
+      }
+    }
+    for (std::size_t i = 0; i < s.out; ++i) {
+      for (std::size_t j = 0; j < s.in; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < s.batch; ++p) acc += g.at(p, i) * x.at(p, j);
+        tn_ref.at(i, j) = acc;
+      }
+    }
+
+    for (util::ThreadPool* pool : pools) {
+      SCOPED_TRACE(pool == nullptr ? 0 : pool->size());
+      Matrix nt(s.batch, s.out), nn, tn, tn_acc = tn_ref;
+      matmul_nt(x.view(), w.view(), bias.data(), nt.view(), pool);
+      expect_matrix_eq(nt, nt_ref);
+      matmul_nn(g, w, nn, pool);
+      expect_matrix_eq(nn, nn_ref);
+      matmul_tn(g, x, tn, pool);
+      expect_matrix_eq(tn, tn_ref);
+      // Accumulating continues each element's chain from its old value.
+      matmul_tn(g.view(), x.view(), tn_acc.view(), /*accumulate=*/true, pool);
+      for (std::size_t i = 0; i < s.out; ++i) {
+        for (std::size_t j = 0; j < s.in; ++j) {
+          float acc = tn_ref.at(i, j);
+          for (std::size_t p = 0; p < s.batch; ++p) {
+            acc += g.at(p, i) * x.at(p, j);
+          }
+          ASSERT_EQ(tn_acc.at(i, j), acc) << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMul, NtBiasIsAddedLast) {
+  util::Rng rng(9);
+  const Matrix a = random_matrix(5, 11, rng);
+  const Matrix b = random_matrix(3, 11, rng);
+  const std::vector<float> bias = {0.5f, -1.25f, 3.0f};
+  Matrix plain, with_bias(5, 3);
+  matmul_nt(a, b, plain);
+  matmul_nt(a.view(), b.view(), bias.data(), with_bias.view());
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(with_bias.at(i, j), plain.at(i, j) + bias[j]);
+    }
+  }
 }
 
 TEST(MatMul, OutputOverwritesPreviousContents) {
@@ -141,13 +235,6 @@ TEST(MatMul, OutputOverwritesPreviousContents) {
   matmul_nn(a, b, c);
   EXPECT_EQ(c.rows(), 3u);
   expect_matrix_near(c, reference_nn(a, b));
-}
-
-TEST(MatrixHelpers, AddRowVector) {
-  Matrix m(2, 3, 1.0f);
-  add_row_vector(m, {1.0f, 2.0f, 3.0f});
-  EXPECT_FLOAT_EQ(m.at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(m.at(1, 2), 4.0f);
 }
 
 TEST(MatrixHelpers, ColumnSums) {

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace capes::nn {
 namespace {
@@ -96,6 +98,52 @@ TEST(Mlp, NumericalGradientCheck) {
       EXPECT_NEAR(param->grad[idx], numeric,
                   5e-2f * std::max(1.0f, std::fabs(numeric)))
           << param->name << "[" << idx << "]";
+    }
+  }
+}
+
+// Mlp::backward stops the first layer at its parameter gradients. The
+// same network replayed by hand, with a full Dense::backward on every
+// layer (input gradient included), must give bit-identical gradients.
+TEST(Mlp, FirstLayerInputGradientSkipKeepsGradientsExact) {
+  util::Rng rng(11);
+  const std::vector<std::size_t> sizes = {37, 16, 16, 5};
+  Mlp mlp(sizes, rng);
+  const Matrix x = random_matrix(9, 37, rng);
+  const Matrix grad = random_matrix(9, 5, rng);
+  const std::vector<Parameter*> params = mlp.parameters();
+
+  std::vector<Dense> dense;
+  dense.reserve(sizes.size() - 1);
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+    dense.emplace_back(sizes[i], sizes[i + 1], "layer" + std::to_string(i));
+    dense[i].weights().value = params[2 * i]->value;
+    dense[i].bias().value = params[2 * i + 1]->value;
+  }
+  std::vector<Tanh> tanh(dense.size() - 1);
+
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    mlp.zero_grad();
+    mlp.forward(x, p);
+    mlp.backward(grad, p);
+
+    const Matrix* cur = &x;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      dense[i].zero_grad();
+      cur = &dense[i].forward(*cur, p);
+      if (i + 1 < dense.size()) cur = &tanh[i].forward(*cur);
+    }
+    const Matrix* g = &grad;
+    for (std::size_t i = dense.size(); i-- > 0;) {
+      if (i + 1 < dense.size()) g = &tanh[i].backward(*g);
+      g = &dense[i].backward(*g, p);
+    }
+    EXPECT_EQ(g->cols(), sizes.front());  // the full backward made dX
+
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      EXPECT_EQ(dense[i].weights().grad, params[2 * i]->grad) << "layer " << i;
+      EXPECT_EQ(dense[i].bias().grad, params[2 * i + 1]->grad) << "layer " << i;
     }
   }
 }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "util/alloc_hook.hpp"
 
 namespace capes::util {
 namespace {
@@ -108,6 +112,47 @@ TEST(ThreadPool, PoolUsableAfterParallelForException) {
   std::atomic<int> counter{0};
   pool.parallel_for(100, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPool, ParallelForIsAllocationFreeOnceWarm) {
+  if (!allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  ThreadPool pool(3);
+  std::vector<int> out(64);
+  // A closure far past std::function's inline buffer: it used to be
+  // copied to the heap on every call, plus a packaged_task per chunk.
+  std::array<char, 256> pad{};
+  const auto body = [&out, pad](std::size_t i) {
+    out[i] = static_cast<int>(i) + pad[i % pad.size()];
+  };
+  pool.parallel_for(out.size(), body);
+  AllocTally tally;
+  for (int rep = 0; rep < 100; ++rep) pool.parallel_for(out.size(), body);
+  EXPECT_EQ(tally.delta(), 0u);
+  EXPECT_EQ(out[63], 63);
+}
+
+TEST(ThreadPool, ConcurrentParallelForCallersAllComplete) {
+  ThreadPool pool(2);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kN = 300;
+  constexpr int kReps = 50;
+  std::vector<std::atomic<int>> hits(kCallers * kN);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int rep = 0; rep < kReps; ++rep) {
+        pool.parallel_for(kN, [&hits, c](std::size_t i) {
+          hits[c * kN + i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), kReps) << i;
+  }
 }
 
 TEST(ThreadPool, DestructionDrainsQueue) {
