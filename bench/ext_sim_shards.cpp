@@ -20,8 +20,8 @@
 //
 //   ./build/bench/ext_sim_shards [--ticks=N] [--threads=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_simshards_bench.sh
-// wraps this into BENCH_simshards.json for CI artifacts. Speedups track
+// --json writes a machine-readable summary; `tools/run_bench.sh
+// sim_shards` wraps this into BENCH_simshards.json for CI artifacts. Speedups track
 // the host's core count: on a single-core machine the sharded loop
 // cannot beat the serial one (~1.0x, the bench says so) — but the
 // imbalance numbers are placement facts and hold on any host. The

@@ -211,25 +211,20 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   }
 
   std::vector<ControlDomain*> domain_ptrs;
-  domain_ptrs.reserve(domains_.size());
-  for (auto& domain : domains_) domain_ptrs.push_back(domain.get());
+  std::vector<ActionSlice> slices;
+  for (auto& domain : domains_) {
+    domain_ptrs.push_back(domain.get());
+    slices.push_back(domain_slice(*domain));
+  }
 
   if (!remote) {
     if (!opts_.replay_db_dir.empty()) {
       db_ = std::make_unique<waldb::Database>();
       if (!db_->open(opts_.replay_db_dir)) db_.reset();
     }
-    replay_ = std::make_unique<rl::ReplayDb>(opts_.replay, db_.get());
-    daemon_ = std::make_unique<InterfaceDaemon>(*replay_, domain_ptrs, pis,
-                                                transport_.get());
-    engine_ = std::make_unique<DrlEngine>(opts_.engine, *replay_);
-    if (db_) {
-      // Durable learner checkpoints ride the same WAL-framed store as the
-      // replay tables; a restarted tuner resumes mid-training. The replay
-      // cache itself is rebuilt from fresh samples, not reloaded.
-      engine_->set_checkpoint_store(db_.get());
-      engine_->restore_checkpoint(*db_);
-    }
+    brain_ = std::make_unique<Brain>(BrainOptions{opts_.replay, opts_.engine},
+                                     std::move(slices), transport_.get(),
+                                     db_.get());
   } else {
     // tcp transport: the brain (Replay DB, Interface Daemon, DRL Engine)
     // lives in a capes_daemond; this process keeps the cluster, the
@@ -259,8 +254,7 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
     wopts.ring_capacity = opts_.capture_ring;
     // The meta fingerprint is the engine's post-restore starting state —
     // under tcp that engine is remote, and the HelloAck reported it.
-    const std::uint32_t fingerprint =
-        remote ? client_->weights_fingerprint() : engine_->weights_fingerprint();
+    const std::uint32_t fingerprint = training_fingerprint();
     capture_ = std::make_unique<capture::WireLogWriter>(
         wopts, trace_meta_from(opts_, domains_.size(), space_->num_actions(),
                                fingerprint)
@@ -272,7 +266,7 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
     } else if (remote) {
       client_->set_capture(capture_.get());
     } else {
-      daemon_->set_capture(capture_.get());
+      brain_->daemon().set_capture(capture_.get());
     }
   }
 
@@ -334,7 +328,7 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   // an in-process brain, the BrainClient's (which forwards over tcp)
   // under a remote one. Control Agents register with whichever side
   // delivers the checked broadcasts.
-  PiChannel& inbox = remote ? client_->inbox() : *daemon_->inbox();
+  PiChannel& inbox = remote ? client_->inbox() : *brain_->daemon().inbox();
   for (auto& domain : domains_) {
     for (std::size_t n = 0; n < domain->num_nodes(); ++n) {
       auto agent = std::make_unique<MonitoringAgent>(
@@ -343,7 +337,7 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
       domain->add_monitoring_agent(std::move(agent));
       auto control = std::make_unique<ControlAgent>(n, domain->adapter());
       if (!remote) {
-        daemon_->register_control_agent(domain->index(), control.get());
+        brain_->daemon().register_control_agent(domain->index(), control.get());
       }
       // Remote: the BrainClient applies broadcasts through the domain's
       // own agent list, so ownership below is registration enough.
@@ -366,7 +360,7 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   if (remote) {
     client_->set_payload_recycler(std::move(recycler));
   } else {
-    daemon_->set_payload_recycler(std::move(recycler));
+    brain_->daemon().set_payload_recycler(std::move(recycler));
   }
 }
 
@@ -392,7 +386,7 @@ void CapesSystem::notify_workload_change() {
   if (client_) {
     client_->workload_change(tick_);
   } else {
-    engine_->notify_workload_change();
+    brain_->engine().notify_workload_change();
   }
 }
 
@@ -408,7 +402,7 @@ void CapesSystem::add_train_step_listener(
 
 std::uint64_t CapesSystem::hot_path_allocations() const {
   return hot_path_allocs_ +
-         (engine_ != nullptr ? engine_->hot_path_allocations() : 0);
+         (brain_ != nullptr ? brain_->hot_path_allocations() : 0);
 }
 
 namespace {
@@ -425,28 +419,28 @@ namespace {
 }  // namespace
 
 DrlEngine& CapesSystem::engine() {
-  if (engine_ == nullptr) abort_remote_accessor("engine()");
-  return *engine_;
+  if (brain_ == nullptr) abort_remote_accessor("engine()");
+  return brain_->engine();
 }
 
 rl::ReplayDb& CapesSystem::replay() {
-  if (replay_ == nullptr) abort_remote_accessor("replay()");
-  return *replay_;
+  if (brain_ == nullptr) abort_remote_accessor("replay()");
+  return brain_->replay();
 }
 
 InterfaceDaemon& CapesSystem::interface_daemon() {
-  if (daemon_ == nullptr) abort_remote_accessor("interface_daemon()");
-  return *daemon_;
+  if (brain_ == nullptr) abort_remote_accessor("interface_daemon()");
+  return brain_->daemon();
 }
 
 std::uint32_t CapesSystem::training_fingerprint() const {
   return client_ != nullptr ? client_->weights_fingerprint()
-                            : engine_->weights_fingerprint();
+                            : brain_->engine().weights_fingerprint();
 }
 
 std::size_t CapesSystem::total_train_steps() const {
   return client_ != nullptr ? client_->total_train_steps()
-                            : engine_->total_train_steps();
+                            : brain_->engine().total_train_steps();
 }
 
 std::vector<double> CapesSystem::parameter_values() const {
@@ -484,7 +478,7 @@ void CapesSystem::sample_all_agents(std::int64_t t) {
   if (client_) {
     client_->flush_status(t);
   } else {
-    daemon_->drain_status(t, pool_.get());
+    brain_->daemon().drain_status(t, pool_.get());
   }
 }
 
@@ -644,7 +638,7 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
   if (client_) {
     client_->send_reward(t, reward, throughput_sum, latency);
   } else {
-    daemon_->on_reward(t, reward);
+    brain_->daemon().on_reward(t, reward);
   }
   hot_path_allocs_ += alloc_tally.delta();
   if (capture_) {
@@ -655,58 +649,24 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
   result.latency_ms.add(latency);
   result.rewards.push_back(reward);
 
-  // 3. Action tick: the engine suggests one composite action, the daemon
-  //    checks it and broadcasts it to the owning domain's slice.
-  //    4. follows: training steps (the DRL Engine trains continuously,
-  //    §3.4). Under a remote brain both steps run in capes_daemond
-  //    behind one tick barrier: end_tick ships kFrameTickDone, blocks
-  //    for the checked broadcasts + kFrameActionsDone, and applies the
-  //    broadcasts to the domains' Control Agents. Outside the
-  //    allocation bracket, like drain_actions: applying parameters runs
-  //    the target system's setters, which may schedule simulator events.
-  if (client_) {
-    const TickOutcome outcome =
-        client_->end_tick(t, static_cast<std::uint8_t>(mode));
-    if (mode == RunPhase::kTraining && outcome.train_steps > 0) {
-      result.train_steps += outcome.train_steps;
-      total_train_steps_ = outcome.total_train_steps;
-      TrainStepEvent event;
-      event.tick = t;
-      event.steps = outcome.train_steps;
-      event.total_steps = total_train_steps_;
-      for (const auto& listener : train_step_listeners_) listener(event);
-    }
-  } else {
-    alloc_tally.restart();
-    if (mode == RunPhase::kTraining || mode == RunPhase::kTuned) {
-      const std::size_t suggested =
-          engine_->compute_action(t, mode == RunPhase::kTraining, pool_.get());
-      daemon_->route_suggested_action(t, suggested);
-    } else {
-      daemon_->route_suggested_action(t, 0);  // NULL action
-    }
-    hot_path_allocs_ += alloc_tally.delta();
-    // Deliver checked-action broadcasts due by this tick (the one just
-    // routed under sync; under sim possibly earlier delayed ones — a
-    // delayed action reaches the target system on the tick it lands).
-    // Outside the allocation bracket: applying parameters runs the target
-    // system's setters, which may schedule simulator events (excluded from
-    // the audit like the rest of event execution).
-    daemon_->drain_actions(t);
-
-    // 4. Training steps (the DRL Engine trains continuously, §3.4).
-    if (mode == RunPhase::kTraining) {
-      const std::size_t steps = engine_->train_tick(pool_.get());
-      result.train_steps += steps;
-      if (steps > 0) {
-        total_train_steps_ += steps;
-        TrainStepEvent event;
-        event.tick = t;
-        event.steps = steps;
-        event.total_steps = total_train_steps_;
-        for (const auto& listener : train_step_listeners_) listener(event);
-      }
-    }
+  // 3. Action tick + 4. training steps: one brain step (Brain::tick) —
+  //    the engine suggests one composite action, the daemon checks it
+  //    and broadcasts it to the owning domain's slice, due broadcasts
+  //    reach the Control Agents, and the DRL Engine trains (§3.4).
+  //    Under a remote brain the step runs in capes_daemond behind one
+  //    tick barrier: end_tick ships kFrameTickDone, blocks for the
+  //    checked broadcasts + kFrameActionsDone, and applies the
+  //    broadcasts to the domains' Control Agents.
+  const TickOutcome outcome =
+      client_ ? client_->end_tick(t, static_cast<std::uint8_t>(mode))
+              : brain_->tick(t, mode, pool_.get());
+  result.train_steps += outcome.train_steps;
+  if (outcome.train_steps > 0) {
+    TrainStepEvent event;
+    event.tick = t;
+    event.steps = outcome.train_steps;
+    event.total_steps = outcome.total_train_steps;
+    for (const auto& listener : train_step_listeners_) listener(event);
   }
 
   if (!tick_listeners_.empty()) {
@@ -739,7 +699,7 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
   }
   if (client_) client_->begin_phase(tick_, static_cast<std::uint8_t>(mode));
   const bus::ChannelStats bus_before =
-      client_ ? client_->stats() : daemon_->bus_stats();
+      client_ ? client_->stats() : brain_->daemon().bus_stats();
   const sim::FaultCounters faults_before = fault_counters();
   const auto tick_us = sim::seconds(opts_.sampling_tick_s);
   for (std::int64_t i = 0; i < ticks; ++i) {
@@ -763,7 +723,7 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
   if (client_) {
     client_->end_phase(tick_, static_cast<std::uint8_t>(mode));
   } else {
-    engine_->drain_learner();
+    brain_->engine().drain_learner();
   }
   result.end_tick = tick_;
   if (capture_) {
@@ -771,7 +731,7 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
     capture_->record(capture::RecordType::kPhaseEnd, tick_, 0, 0, &phase, 1);
   }
   const bus::ChannelStats bus_after =
-      client_ ? client_->stats() : daemon_->bus_stats();
+      client_ ? client_->stats() : brain_->daemon().bus_stats();
   result.messages_dropped = bus_after.dropped - bus_before.dropped;
   result.messages_late = bus_after.late - bus_before.late;
   const sim::FaultCounters faults_after = fault_counters();
@@ -808,21 +768,21 @@ std::uint64_t CapesSystem::monitoring_bytes_sent() const {
 }
 
 bool CapesSystem::save_model(const std::string& path) const {
-  if (engine_ == nullptr) {
+  if (brain_ == nullptr) {
     CAPES_LOG_WARN("capes") << "save_model unavailable under the tcp "
                                "transport (the model lives in capes_daemond)";
     return false;
   }
-  return engine_->dqn().save_checkpoint(path);
+  return brain_->engine().dqn().save_checkpoint(path);
 }
 
 bool CapesSystem::load_model(const std::string& path) {
-  if (engine_ == nullptr) {
+  if (brain_ == nullptr) {
     CAPES_LOG_WARN("capes") << "load_model unavailable under the tcp "
                                "transport (the model lives in capes_daemond)";
     return false;
   }
-  return engine_->dqn().load_checkpoint(path);
+  return brain_->engine().dqn().load_checkpoint(path);
 }
 
 }  // namespace capes::core

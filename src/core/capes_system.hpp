@@ -27,6 +27,7 @@
 #include "bus/transport.hpp"
 #include "capture/wire_log_writer.hpp"
 #include "core/adapter.hpp"
+#include "core/brain.hpp"
 #include "core/control_domain.hpp"
 #include "core/drl_engine.hpp"
 #include "core/interface_daemon.hpp"
@@ -108,9 +109,6 @@ struct CapesOptions {
   /// Capture-ring slots between the control thread and the file sink.
   std::size_t capture_ring = 8192;
 };
-
-/// The §A.4 run phases. kIdle only ever appears as "no phase running".
-enum class RunPhase { kIdle, kTraining, kBaseline, kTuned };
 
 /// Lower-case phase label ("training", "baseline", "tuned", "idle").
 const char* phase_name(RunPhase phase);
@@ -336,16 +334,15 @@ class CapesSystem {
   std::size_t total_nodes_ = 0;
   std::unique_ptr<rl::ActionSpace> space_;  ///< composite
   std::unique_ptr<waldb::Database> db_;
-  std::unique_ptr<rl::ReplayDb> replay_;
-  /// Declared before the daemon: the daemon's channels reference it.
+  /// Declared before the brain: the daemon's channels reference it.
   std::unique_ptr<bus::Transport> transport_;
-  /// Declared before the daemon: the daemon holds a raw capture pointer.
+  /// Declared before the brain: the daemon holds a raw capture pointer.
   std::unique_ptr<capture::WireLogWriter> capture_;
-  std::unique_ptr<InterfaceDaemon> daemon_;
-  std::unique_ptr<DrlEngine> engine_;
+  /// The in-process brain (Replay DB, Interface Daemon, DRL Engine).
+  std::unique_ptr<Brain> brain_;
   /// The distributed control plane's agent-side half (tcp transport
-  /// only; then daemon_/engine_/replay_/db_ stay null). Declared after
-  /// transport_ and capture_ — it references both.
+  /// only; then brain_/db_ stay null). Declared after transport_ and
+  /// capture_ — it references both.
   std::unique_ptr<BrainClient> client_;
   std::unique_ptr<util::ThreadPool> pool_;
 
@@ -377,7 +374,6 @@ class CapesSystem {
   std::vector<double> domain_reward_scratch_;
 
   std::int64_t tick_ = 0;
-  std::size_t total_train_steps_ = 0;
   std::vector<std::function<void(const TickEvent&)>> tick_listeners_;
   std::vector<std::function<void(const TrainStepEvent&)>> train_step_listeners_;
 };

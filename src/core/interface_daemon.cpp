@@ -1,6 +1,5 @@
 #include "core/interface_daemon.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -16,56 +15,68 @@ namespace {
 /// Applying a checked action runs the target system's parameter setters,
 /// which may schedule follow-up events (e.g. a cluster re-arming its
 /// send loop); binding the owning domain's simulator shard keeps them in
-/// its queue, not shard 0. Domain-less shards (the legacy single-shard
-/// constructor) have nothing to bind.
-sim::Simulator::ShardBinding bind_domain_shard(const ControlDomain* domain) {
-  return domain != nullptr ? domain->bind_sim_shard()
-                           : sim::Simulator::no_binding();
+/// its queue, not shard 0. Mirror slices have nothing to bind.
+sim::Simulator::ShardBinding bind_domain_shard(const ActionSlice& slice) {
+  return slice.domain != nullptr ? slice.domain->bind_sim_shard()
+                                 : sim::Simulator::no_binding();
 }
 
 }  // namespace
 
-InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
-                                 const rl::ActionSpace& space,
-                                 std::size_t num_nodes,
-                                 std::size_t pis_per_node)
-    : replay_(replay) {
-  Shard shard;
-  shard.space = &space;
-  shard.checker = std::make_unique<ActionChecker>(space);
-  shard.action_offset = 1;
-  shards_.push_back(std::move(shard));
-  decoders_.reserve(num_nodes);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    decoders_.emplace_back(pis_per_node);
+ActionSlice domain_slice(ControlDomain& domain) {
+  ActionSlice slice;
+  slice.parameters = domain.space().parameters();
+  slice.action_offset = domain.action_offset();
+  slice.values = &domain.param_values();
+  slice.domain = &domain;
+  return slice;
+}
+
+SliceAction route_action(const std::vector<ActionSlice>& slices,
+                         std::size_t action_index) {
+  SliceAction route;
+  if (slices.empty()) {
+    route.in_range = false;
+    return route;
   }
+  if (action_index == 0) return route;  // NULL -> slice 0, local 0
+  while (route.slice + 1 < slices.size() &&
+         action_index >= slices[route.slice + 1].action_offset) {
+    ++route.slice;
+  }
+  const ActionSlice& slice = slices[route.slice];
+  route.in_range = action_index >= slice.action_offset &&
+                   action_index - slice.action_offset < 2 * slice.parameters.size();
+  route.local = route.in_range ? action_index - slice.action_offset + 1 : 0;
+  return route;
 }
 
 InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
-                                 std::vector<ControlDomain*> domains,
-                                 std::size_t pis_per_node,
+                                 std::vector<ActionSlice> slices,
                                  bus::Transport* transport)
-    : replay_(replay) {
-  assert(!domains.empty());
+    : replay_(replay), slices_(std::move(slices)) {
   if (transport != nullptr) {
     inbox_ = std::make_unique<PiChannel>(*transport, kStatusTopic);
   }
-  shards_.reserve(domains.size());
-  for (ControlDomain* domain : domains) {
-    Shard shard;
-    shard.domain = domain;
-    shard.space = &domain->space();
-    shard.checker = std::make_unique<ActionChecker>(domain->space());
-    shard.action_offset = domain->action_offset();
+  shards_.reserve(slices_.size());
+  for (std::size_t i = 0; i < slices_.size(); ++i) {
+    ActionSlice& slice = slices_[i];
+    Shard& shard = shards_.emplace_back();
+    shard.space = std::make_unique<rl::ActionSpace>(slice.parameters);
+    shard.checker = std::make_unique<ActionChecker>(*shard.space);
+    if (slice.values == nullptr) {
+      shard.mirror = shard.space->initial_values();
+      slice.values = &shard.mirror;
+    }
     if (transport != nullptr) {
       shard.actions = std::make_unique<ActionChannel>(
-          *transport, kActionTopicBase + domain->index(),
-          kActionChannelCapacity);
+          *transport, kActionTopicBase + i, kActionChannelCapacity);
     }
-    shards_.push_back(std::move(shard));
-    for (std::size_t i = 0; i < domain->num_nodes(); ++i) {
-      decoders_.emplace_back(pis_per_node);
-    }
+  }
+  const rl::ReplayDbOptions& layout = replay_.options();
+  decoders_.reserve(layout.num_nodes);
+  for (std::size_t i = 0; i < layout.num_nodes; ++i) {
+    decoders_.emplace_back(layout.pis_per_node);
   }
 }
 
@@ -190,17 +201,16 @@ void InterfaceDaemon::set_payload_recycler(PayloadRecycler recycler) {
 
 std::size_t InterfaceDaemon::drain_actions(std::int64_t t) {
   std::size_t delivered = 0;
-  for (Shard& shard : shards_) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = shards_[i];
     if (!shard.actions) continue;
-    const auto binding = bind_domain_shard(shard.domain);
+    const auto binding = bind_domain_shard(slices_[i]);
     delivered += shard.actions->drain(
-        t, [this, t, &shard](bus::Message<std::vector<double>>& msg) {
+        t, [this, t, i, &shard](bus::Message<std::vector<double>>& msg) {
           if (capture_ != nullptr) {
-            capture_->record_f64s(
-                capture::RecordType::kBroadcast, t,
-                kActionTopicBase +
-                    (shard.domain != nullptr ? shard.domain->index() : 0),
-                msg.sender, msg.payload.data(), msg.payload.size());
+            capture_->record_f64s(capture::RecordType::kBroadcast, t,
+                                  kActionTopicBase + i, msg.sender,
+                                  msg.payload.data(), msg.payload.size());
           }
           for (ControlAgent* agent : shard.control_agents) {
             agent->on_action_message(msg.payload);
@@ -223,37 +233,54 @@ bus::ChannelStats InterfaceDaemon::bus_stats() const {
   return stats;
 }
 
-std::size_t InterfaceDaemon::apply_checked_action(
-    std::int64_t t, Shard& shard, std::size_t local_action,
-    std::size_t global_action, std::vector<double>& parameter_values) {
+std::size_t InterfaceDaemon::apply_checked_action(std::int64_t t,
+                                                  std::size_t index,
+                                                  std::size_t local_action,
+                                                  std::size_t global_action) {
+  Shard& shard = shards_[index];
+  std::vector<double>& values = *slices_[index].values;
   const rl::DecodedAction decoded = shard.space->decode(local_action);
-  std::size_t recorded = global_action;
-  if (!shard.checker->check(decoded, parameter_values)) {
-    recorded = 0;  // vetoed -> NULL action
-  } else if (!decoded.null_action) {
-    shard.space->apply(decoded, parameter_values);
-    if (shard.actions) {
-      // Control-network broadcast: the daemon's view of the parameters
-      // updates now; the target system applies them when the message
-      // lands (possibly ticks later, possibly never if dropped — the
-      // next delivered broadcast carries absolute values and heals it).
-      // The copy goes into a recycled buffer so steady-state broadcasts
-      // do not allocate.
-      std::vector<double> payload;
-      if (!shard.action_pool.empty()) {
-        payload = std::move(shard.action_pool.back());
-        shard.action_pool.pop_back();
-      }
-      payload.assign(parameter_values.begin(), parameter_values.end());
-      shard.actions->publish(shard.domain ? shard.domain->index() : 0, t,
-                             std::move(payload));
-    } else {
-      const auto binding = bind_domain_shard(shard.domain);
-      for (ControlAgent* agent : shard.control_agents) {
-        agent->on_action_message(parameter_values);
-      }
+  if (!shard.checker->check(decoded, values)) {
+    ++actions_vetoed_;
+    return 0;  // vetoed -> NULL action
+  }
+  if (decoded.null_action) return global_action;
+  shard.space->apply(decoded, values);
+  if (shard.actions) {
+    // Control-network broadcast: the daemon's view of the parameters
+    // updates now; the target system applies them when the message
+    // lands (possibly ticks later, possibly never if dropped — the
+    // next delivered broadcast carries absolute values and heals it).
+    // The copy goes into a recycled buffer so steady-state broadcasts
+    // do not allocate.
+    std::vector<double> payload;
+    if (!shard.action_pool.empty()) {
+      payload = std::move(shard.action_pool.back());
+      shard.action_pool.pop_back();
     }
-    ++actions_broadcast_;
+    payload.assign(values.begin(), values.end());
+    shard.actions->publish(index, t, std::move(payload));
+  } else {
+    const auto binding = bind_domain_shard(slices_[index]);
+    for (ControlAgent* agent : shard.control_agents) {
+      agent->on_action_message(values);
+    }
+  }
+  ++actions_broadcast_;
+  return global_action;
+}
+
+std::size_t InterfaceDaemon::route_suggested_action(std::int64_t t,
+                                                    std::size_t action_index) {
+  const SliceAction route = route_action(slices_, action_index);
+  std::size_t recorded = 0;
+  if (route.in_range) {
+    recorded = apply_checked_action(t, route.slice, route.local, action_index);
+  } else if (action_index != 0) {
+    // Only a client/meta mismatch can suggest past every slice; decoding
+    // it would index past the slice's parameters. (A daemon without
+    // slices records a NULL suggestion as is.)
+    ++actions_vetoed_;
   }
   replay_.record_action(t, recorded);
   if (capture_ != nullptr) {
@@ -261,57 +288,20 @@ std::size_t InterfaceDaemon::apply_checked_action(
     // can detect divergence and diff tools can report veto behavior.
     std::uint8_t payload[8];
     for (int i = 0; i < 4; ++i) {
-      payload[i] = static_cast<std::uint8_t>(global_action >> (8 * i));
+      payload[i] = static_cast<std::uint8_t>(action_index >> (8 * i));
       payload[4 + i] = static_cast<std::uint8_t>(recorded >> (8 * i));
     }
-    capture_->record(
-        capture::RecordType::kAction, t,
-        kActionTopicBase + (shard.domain != nullptr ? shard.domain->index() : 0),
-        static_cast<std::uint64_t>(&shard - shards_.data()), payload,
-        sizeof(payload));
+    capture_->record(capture::RecordType::kAction, t,
+                     kActionTopicBase + route.slice, route.slice, payload,
+                     sizeof(payload));
   }
   return recorded;
 }
 
-std::size_t InterfaceDaemon::on_suggested_action(
-    std::int64_t t, std::size_t action_index,
-    std::vector<double>& parameter_values) {
-  assert(shards_.size() == 1);
-  return apply_checked_action(t, shards_[0], action_index, action_index,
-                              parameter_values);
-}
-
-std::size_t InterfaceDaemon::route_suggested_action(std::int64_t t,
-                                                    std::size_t action_index) {
-  // The NULL action belongs to no slice; hand it to shard 0 so checker
-  // rules still see it (a rule can veto NULL too, as in the single-shard
-  // path — the recorded action is 0 either way).
-  std::size_t shard_index = 0;
-  std::size_t local = 0;
-  if (action_index != 0) {
-    while (shard_index + 1 < shards_.size() &&
-           action_index >= shards_[shard_index + 1].action_offset) {
-      ++shard_index;
-    }
-    local = action_index - shards_[shard_index].action_offset + 1;
-    assert(local < shards_[shard_index].space->num_actions());
+void InterfaceDaemon::reset_parameter_values() {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    *slices_[i].values = shards_[i].space->initial_values();
   }
-  Shard& shard = shards_[shard_index];
-  // Routed dispatch needs a domain-backed parameter vector; a daemon
-  // built through the legacy single-shard constructor must use
-  // on_suggested_action instead. Degrade to a recorded NULL action
-  // rather than dereferencing null in Release builds.
-  assert(shard.domain != nullptr);
-  if (shard.domain == nullptr) {
-    replay_.record_action(t, 0);
-    return 0;
-  }
-  return apply_checked_action(t, shard, local, action_index,
-                              shard.domain->param_values());
-}
-
-void InterfaceDaemon::register_control_agent(ControlAgent* agent) {
-  shards_[0].control_agents.push_back(agent);
 }
 
 void InterfaceDaemon::register_control_agent(std::size_t shard,

@@ -4,14 +4,15 @@
 // that writes to the Replay DB; it decodes incoming PI messages, stores
 // them, relays rewards, and broadcasts checked actions.
 //
-// The daemon is a sharded fan-in: one shard per control domain. Incoming
-// PI messages carry global (domain-namespaced) node ids and route to the
-// owning shard's stateful decoder; a suggested composite action index
-// routes to the shard whose action slice contains it, is validated by
-// that shard's Action Checker, and — when it passes — is applied to that
-// domain's parameter vector and broadcast to that domain's Control
-// Agents only. With one shard this degenerates exactly to the original
-// single-cluster daemon.
+// The daemon is a sharded fan-in: one shard per action slice (control
+// domain). Incoming PI messages carry global (domain-namespaced) node ids
+// and route to the owning node's stateful decoder; a suggested composite
+// action index routes to the slice that contains it, is validated by that
+// shard's Action Checker, and — when it passes — is applied to the
+// slice's parameter vector and broadcast to that slice's Control Agents
+// only. A slice's parameter vector is its domain's own (in-process) or a
+// mirror the daemon owns (a brain serving a remote target system); a
+// daemon with no slices only ingests (a capture replay).
 //
 // Control-network mode: constructed with a bus::Transport, the daemon
 // owns its PI inbox channel (which Monitoring Agents publish into) and
@@ -64,20 +65,47 @@ inline constexpr std::uint64_t kActionTopicBase = 2;
 /// guards against a pathological transport configuration.
 inline constexpr std::size_t kActionChannelCapacity = 1024;
 
+/// One control domain's slice of the composite action namespace.
+struct ActionSlice {
+  /// The domain's tunable parameters: its local space is NULL plus a
+  /// -step/+step action per parameter.
+  std::vector<rl::TunableParameter> parameters;
+  /// Composite index of the slice's local action 1 (0 is the shared NULL).
+  std::size_t action_offset = 1;
+  /// The parameter vector checked actions apply to: the domain's own, or
+  /// null for a mirror the daemon owns, starting at the initial values.
+  std::vector<double>* values = nullptr;
+  /// Bound while checked actions reach the Control Agents, so events the
+  /// parameter setters schedule land in the domain's simulator shard.
+  /// Null when there is nothing to bind.
+  const ControlDomain* domain = nullptr;
+};
+
+/// The in-process slice of `domain`: its parameters, action offset and
+/// parameter vector.
+ActionSlice domain_slice(ControlDomain& domain);
+
+/// Where a composite action index lands.
+struct SliceAction {
+  std::size_t slice = 0;  ///< the owning slice
+  std::size_t local = 0;  ///< the index in that slice's own action space
+  bool in_range = true;   ///< false: beyond every slice (slice = the last)
+};
+
+/// Composite -> slice routing. The NULL action belongs to no slice; it
+/// lands in slice 0 as local 0, so checker rules still see it. With no
+/// slices every index is out of range.
+SliceAction route_action(const std::vector<ActionSlice>& slices,
+                         std::size_t action_index);
+
 class InterfaceDaemon {
  public:
-  /// Single-shard daemon over an externally managed parameter vector (the
-  /// pre-domain construction, still used by agent-level tests). Always
-  /// direct-call: no control network between the agents and the daemon.
-  InterfaceDaemon(rl::ReplayDb& replay, const rl::ActionSpace& space,
-                  std::size_t num_nodes, std::size_t pis_per_node);
-
-  /// Sharded daemon: one shard per domain, in order. Domains must outlive
-  /// the daemon; their node/action offsets define the routing table. A
-  /// non-null `transport` (which must outlive the daemon) puts the PI
-  /// inbox and the per-shard action broadcasts on the control network.
-  InterfaceDaemon(rl::ReplayDb& replay, std::vector<ControlDomain*> domains,
-                  std::size_t pis_per_node,
+  /// One shard per slice, in composite order. PI decoders are sized from
+  /// the replay DB's node count and PI width. A non-null `transport`
+  /// (which must outlive the daemon) puts the PI inbox and the per-shard
+  /// action broadcasts on the control network; without one, checked
+  /// actions reach the Control Agents by direct call.
+  InterfaceDaemon(rl::ReplayDb& replay, std::vector<ActionSlice> slices,
                   bus::Transport* transport = nullptr);
 
   /// Incoming PI message from a Monitoring Agent; the leading global node
@@ -88,23 +116,16 @@ class InterfaceDaemon {
   /// Record the objective-function output for tick t.
   void on_reward(std::int64_t t, double reward);
 
-  /// An action suggested by the DRL Engine for tick t, applied to the
-  /// caller's parameter vector (single-shard daemons only). Runs the
-  /// action checker; if it passes, records the action and broadcasts the
-  /// resulting parameter values to the shard's Control Agents. Returns the
-  /// action actually recorded (vetoed actions degrade to the NULL action,
-  /// which is what reaches the replay DB — the system did nothing that
-  /// tick).
-  std::size_t on_suggested_action(std::int64_t t, std::size_t action_index,
-                                  std::vector<double>& parameter_values);
-
-  /// Sharded form: route the composite `action_index` to its owning
-  /// domain and apply it to that domain's parameter vector. Same veto /
-  /// record semantics as on_suggested_action. In control-network mode the
-  /// domain-side parameter vector updates immediately (the daemon's view)
-  /// but the broadcast to the Control Agents rides the shard's action
-  /// channel — a delayed action reaches the target system on a later
-  /// tick, exactly as in a real deployment.
+  /// Route the composite `action_index` suggested for tick t to its
+  /// slice, run that shard's Action Checker, and — if it passes — apply
+  /// it to the slice's parameter vector and broadcast the resulting
+  /// values to the shard's Control Agents. Records (Replay DB + capture)
+  /// and returns the action actually taken: a vetoed action, or one
+  /// beyond every slice, degrades to the NULL action, because the system
+  /// did nothing that tick. In control-network mode the parameter vector
+  /// updates immediately (the daemon's view) but the broadcast rides the
+  /// shard's action channel — a delayed action reaches the target system
+  /// on a later tick, exactly as in a real deployment.
   std::size_t route_suggested_action(std::int64_t t, std::size_t action_index);
 
   // ---- control network -----------------------------------------------------
@@ -140,17 +161,24 @@ class InterfaceDaemon {
   /// All-zero without a transport.
   bus::ChannelStats bus_stats() const;
 
-  void register_control_agent(ControlAgent* agent);  ///< shard 0
   void register_control_agent(std::size_t shard, ControlAgent* agent);
-  ActionChecker& action_checker() { return *shards_[0].checker; }
   ActionChecker& action_checker(std::size_t shard) {
     return *shards_[check_shard(shard)].checker;
   }
   std::size_t num_shards() const { return shards_.size(); }
+  /// The slices as routed; each `values` points at the parameter vector
+  /// the daemon checks against (the domain's, or the daemon's mirror).
+  const std::vector<ActionSlice>& slices() const { return slices_; }
+  /// Every shard's parameter vector back to its initial values (the
+  /// daemon's view only: nothing is broadcast).
+  void reset_parameter_values();
 
   std::uint64_t status_messages() const { return status_messages_; }
   std::uint64_t decode_errors() const { return decode_errors_; }
   std::uint64_t actions_broadcast() const { return actions_broadcast_; }
+  /// Suggestions recorded as NULL instead: checker rejections plus
+  /// indices beyond every slice.
+  std::uint64_t actions_vetoed() const { return actions_vetoed_; }
 
   /// Flight recorder (nullable; must outlive the daemon while set). All
   /// three daemon-boundary hops — PI status, suggested/recorded actions,
@@ -160,14 +188,11 @@ class InterfaceDaemon {
   void set_capture(capture::WireLogWriter* writer) { capture_ = writer; }
 
  private:
-  /// Routing state for one domain's slice of the action namespace (node
-  /// routing needs no per-shard state: decoders_ is indexed by the global
-  /// node id directly).
+  /// Per-slice checking and delivery state.
   struct Shard {
-    ControlDomain* domain = nullptr;  ///< null for the single-shard ctor
-    const rl::ActionSpace* space = nullptr;
+    std::unique_ptr<rl::ActionSpace> space;  ///< stable address for checker
     std::unique_ptr<ActionChecker> checker;
-    std::size_t action_offset = 1;  ///< global index of local action 1
+    std::vector<double> mirror;  ///< the values when the slice brings none
     std::vector<ControlAgent*> control_agents;
     /// Control-network broadcast channel (null = direct calls).
     std::unique_ptr<ActionChannel> actions;
@@ -182,12 +207,16 @@ class InterfaceDaemon {
   /// checker or agent list would silently corrupt cross-domain state.
   std::size_t check_shard(std::size_t shard) const;
 
-  std::size_t apply_checked_action(std::int64_t t, Shard& shard,
+  /// Check `local_action` against shard `index` and apply + broadcast it
+  /// when it passes; returns the action to record.
+  std::size_t apply_checked_action(std::int64_t t, std::size_t index,
                                    std::size_t local_action,
-                                   std::size_t global_action,
-                                   std::vector<double>& parameter_values);
+                                   std::size_t global_action);
 
   rl::ReplayDb& replay_;
+  /// `values` is never null here: a mirror slice points at its shard's
+  /// mirror (shards_ is sized once and never reallocates).
+  std::vector<ActionSlice> slices_;
   std::vector<Shard> shards_;
   std::vector<PiDecoder> decoders_;  // one per global node
   std::unique_ptr<PiChannel> inbox_;
@@ -210,6 +239,7 @@ class InterfaceDaemon {
   std::uint64_t status_messages_ = 0;
   std::uint64_t decode_errors_ = 0;
   std::uint64_t actions_broadcast_ = 0;
+  std::uint64_t actions_vetoed_ = 0;
 };
 
 }  // namespace capes::core

@@ -4,7 +4,6 @@
 
 #include "capture/wire_log_writer.hpp"
 #include "core/control_agent.hpp"
-#include "core/interface_daemon.hpp"
 #include "net/socket.hpp"
 #include "util/frame.hpp"
 #include "util/serialize.hpp"
@@ -18,10 +17,10 @@ std::vector<std::uint8_t> encode_hello(const HelloPayload& hello) {
   w.put_u32(static_cast<std::uint32_t>(meta.size()));
   w.put_raw(meta.data(), meta.size());
   w.put_u32(static_cast<std::uint32_t>(hello.domains.size()));
-  for (const RemoteDomain& d : hello.domains) {
+  for (const ActionSlice& d : hello.domains) {
     w.put_u64(d.action_offset);
-    w.put_u32(static_cast<std::uint32_t>(d.params.size()));
-    for (const rl::TunableParameter& p : d.params) {
+    w.put_u32(static_cast<std::uint32_t>(d.parameters.size()));
+    for (const rl::TunableParameter& p : d.parameters) {
       w.put_string(p.name);
       w.put_f64(p.min_value);
       w.put_f64(p.max_value);
@@ -48,12 +47,12 @@ std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob) 
   if (!num_domains || *num_domains == 0) return std::nullopt;
   hello.domains.reserve(*num_domains);
   for (std::uint32_t d = 0; d < *num_domains; ++d) {
-    RemoteDomain domain;
+    ActionSlice domain;
     const auto offset = r.get_u64();
     const auto num_params = r.get_u32();
     if (!offset || !num_params) return std::nullopt;
-    domain.action_offset = *offset;
-    domain.params.reserve(*num_params);
+    domain.action_offset = static_cast<std::size_t>(*offset);
+    domain.parameters.reserve(*num_params);
     for (std::uint32_t p = 0; p < *num_params; ++p) {
       rl::TunableParameter param;
       auto name = r.get_string();
@@ -69,7 +68,7 @@ std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob) 
       param.max_value = *max_value;
       param.step = *step;
       param.initial_value = *initial;
-      domain.params.push_back(std::move(param));
+      domain.parameters.push_back(std::move(param));
     }
     hello.domains.push_back(std::move(domain));
   }
@@ -105,16 +104,9 @@ bool BrainClient::connect(const capture::TraceMeta& meta,
   }
   endpoint_ = std::make_unique<net::Endpoint>(fd, endpoint_opts_);
 
-  HelloPayload hello;
-  hello.meta = meta;
-  hello.domains.reserve(domains_.size());
-  for (const ControlDomain* domain : domains_) {
-    RemoteDomain rd;
-    rd.action_offset = domain->action_offset();
-    rd.params = domain->space().parameters();
-    hello.domains.push_back(std::move(rd));
-  }
-  const std::vector<std::uint8_t> blob = encode_hello(hello);
+  slices_.clear();
+  for (ControlDomain* domain : domains_) slices_.push_back(domain_slice(*domain));
+  const std::vector<std::uint8_t> blob = encode_hello({meta, slices_});
   if (!endpoint_->send(kFrameHello, 0, 0, 0, blob.data(), blob.size())) {
     if (error != nullptr) *error = "handshake send failed (link dead)";
     return false;
@@ -264,21 +256,14 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
   }
   total_train_steps_ = out.total_train_steps;
   if (capture_ != nullptr) {
-    // Mirror apply_checked_action's record: the suggestion routes to the
-    // shard whose action slice contains it (NULL belongs to shard 0).
-    std::size_t shard = 0;
-    if (out.suggested != 0) {
-      while (shard + 1 < domains_.size() &&
-             out.suggested >= domains_[shard + 1]->action_offset()) {
-        ++shard;
-      }
-    }
+    // The in-process daemon's kAction record: it carries the slice the
+    // suggestion routes to.
+    const std::size_t slice = route_action(slices_, out.suggested).slice;
     std::uint8_t payload[8];
     util::put_le32(payload, static_cast<std::uint32_t>(out.suggested));
     util::put_le32(payload + 4, static_cast<std::uint32_t>(out.recorded));
-    capture_->record(capture::RecordType::kAction, t,
-                     kActionTopicBase + domains_[shard]->index(), shard,
-                     payload, sizeof(payload));
+    capture_->record(capture::RecordType::kAction, t, kActionTopicBase + slice,
+                     slice, payload, sizeof(payload));
   }
   apply_broadcasts(t);
   return out;

@@ -19,13 +19,13 @@
 //
 // Per-tick lock step: the client ships this tick's status + reward
 // frames, then kFrameTickDone; the service ingests them in FIFO order,
-// computes/checks/records the action exactly as the in-process
-// InterfaceDaemon would, streams the resulting kBroadcast frames, and
-// closes the tick with kFrameActionsDone. Because the service consumes
-// frames in send order and both sides apply the same deterministic
-// logic, a loopback run with zero loss is bit-identical to the `sync`
-// transport — the equivalence bar tests/integration/test_distributed
-// holds it to.
+// runs one Brain::tick — the same brain step an in-process CapesSystem
+// runs, over parameter mirrors of the client's domains — streams a
+// kBroadcast frame for the slice a checked action changed, and closes
+// the tick with kFrameActionsDone. Because the service consumes frames
+// in send order and runs the very code the in-process path runs, a
+// loopback run with zero loss is bit-identical to the `sync` transport —
+// the equivalence bar tests/integration/test_distributed holds it to.
 
 #include <cstdint>
 #include <functional>
@@ -37,10 +37,11 @@
 #include "bus/transport.hpp"
 #include "capture/trace_meta.hpp"
 #include "capture/wire_format.hpp"
+#include "core/brain.hpp"
 #include "core/control_domain.hpp"
+#include "core/interface_daemon.hpp"
 #include "core/monitoring_agent.hpp"
 #include "net/endpoint.hpp"
-#include "rl/action_space.hpp"
 
 namespace capes::capture {
 class WireLogWriter;
@@ -76,47 +77,29 @@ inline constexpr std::uint8_t kPhaseTraining = 1;
 inline constexpr std::uint8_t kPhaseBaseline = 2;
 inline constexpr std::uint8_t kPhaseTuned = 3;
 
-/// One control domain as described in the Hello: where its action slice
-/// starts in the composite action namespace, and its tunable parameters
-/// (enough for the service to rebuild the domain's ActionSpace + Action
-/// Checker and mirror its parameter vector).
-struct RemoteDomain {
-  std::uint64_t action_offset = 1;
-  std::vector<rl::TunableParameter> params;
-};
-
 /// The kFrameHello payload: the same TraceMeta snapshot a capture file
 /// leads with (topology + every engine/DQN/replay hyperparameter and
-/// seed), plus the per-domain action-space layout. The service rebuilds
-/// its Replay DB and DRL Engine from this exactly as capes_replay does
-/// from a capture — which is what makes the two bit-identical.
+/// seed), plus each domain's action slice (offset + tunable parameters;
+/// decoded slices carry no parameter vector, so the service's daemon
+/// mirrors them). The service rebuilds its brain from this exactly as
+/// capes_replay does from a capture — which is what makes the two
+/// bit-identical.
 struct HelloPayload {
   capture::TraceMeta meta;
-  std::vector<RemoteDomain> domains;
+  std::vector<ActionSlice> domains;
 };
 
 std::vector<std::uint8_t> encode_hello(const HelloPayload& hello);
 /// nullopt on a version mismatch or a truncated/garbled payload.
 std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob);
 
-/// What kFrameActionsDone reports back for one tick.
-struct TickOutcome {
-  std::size_t suggested = 0;      ///< the engine's composite action index
-  std::size_t recorded = 0;       ///< post-veto (0 = NULL action)
-  std::size_t train_steps = 0;    ///< minibatch steps this tick
-  std::size_t total_train_steps = 0;
-  /// False when the service vanished before answering: the tick completes
-  /// with no action applied and the loss shows up in stats().dropped.
-  bool link_alive = true;
-};
-
 /// The agent-side half of the distributed control plane. Owns the tcp
 /// connection to capes_daemond and stands in for the in-process
-/// InterfaceDaemon + DrlEngine on the CapesSystem tick path:
+/// core::Brain on the CapesSystem tick path:
 ///
 ///   sample_all_agents -> inbox() -> flush_status(t)     (kStatus frames)
 ///   on_reward         -> send_reward(t, ...)            (kReward frame)
-///   action + train    -> end_tick(t, mode)              (kFrameTickDone,
+///   Brain::tick       -> end_tick(t, mode)              (kFrameTickDone,
 ///                        blocks for kBroadcast* + kFrameActionsDone)
 ///
 /// The send path rides the endpoint's recycled slots, so the warm tick
@@ -222,6 +205,9 @@ class BrainClient {
   net::EndpointOptions endpoint_opts_;
   PiChannel inbox_;
   std::vector<ControlDomain*> domains_;
+  /// The domains' slices, as the Hello describes them (and the kAction
+  /// capture record routes the suggestion through).
+  std::vector<ActionSlice> slices_;
   capture::WireLogWriter* capture_ = nullptr;
   PayloadRecycler payload_recycler_;
   std::unique_ptr<net::Endpoint> endpoint_;

@@ -29,26 +29,17 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop() {
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return stop_ || chunk_count_ > 0 || !tasks_.empty();
-    });
-    if (chunk_count_ > 0) {
-      const Chunk chunk = chunks_[chunk_head_];
-      chunk_head_ = (chunk_head_ + 1) % chunks_.size();
-      --chunk_count_;
-      lock.unlock();
-      run_chunk(*chunk.job, chunk.begin, chunk.end);
-      lock.lock();
-      // The caller may return (and drop its Job) as soon as pending hits
-      // zero, so the job is not touched after this decrement.
-      if (--chunk.job->pending == 0) done_cv_.notify_all();
-      continue;
-    }
-    if (tasks_.empty()) return;  // stop_ with nothing left to drain
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop();
+    cv_.wait(lock, [this] { return stop_ || chunk_count_ > 0; });
+    if (chunk_count_ == 0) return;  // stop_ with nothing queued
+    const Chunk chunk = chunks_[chunk_head_];
+    chunk_head_ = (chunk_head_ + 1) % chunks_.size();
+    --chunk_count_;
     lock.unlock();
-    task();
+    run_chunk(*chunk.job, chunk.begin, chunk.end);
+    lock.lock();
+    // The caller may return (and drop its Job) as soon as pending hits
+    // zero, so the job is not touched after this decrement.
+    if (--chunk.job->pending == 0) done_cv_.notify_all();
   }
 }
 

@@ -1,16 +1,14 @@
 #pragma once
 // Fixed-size worker pool used to parallelize GEMM panels and minibatch
-// assembly. Follows the usual HPC pattern: create once, submit many small
-// tasks, never detach threads (C++ Core Guidelines CP.23/CP.26).
+// assembly. Follows the usual HPC pattern: create once, fan index ranges
+// out with parallel_for, never detach threads (C++ Core Guidelines
+// CP.23/CP.26).
 
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -40,9 +38,8 @@ class IndexFn {
   void (*call_)(void*, std::size_t);
 };
 
-/// A minimal thread pool. Tasks are std::function<void()>; submit() returns
-/// a future for completion/result propagation. Destruction joins all
-/// workers after draining the queue.
+/// A minimal thread pool whose only work unit is a parallel_for chunk.
+/// Destruction joins all workers.
 class ThreadPool {
  public:
   /// Create `threads` workers; 0 means use hardware_concurrency (min 1).
@@ -53,21 +50,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-
-  /// Enqueue a task; returns a future of its result. Exceptions thrown by
-  /// the task propagate through the future.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.emplace([task]() { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
 
   /// Run fn(i) for i in [0, n) split into roughly even contiguous chunks
   /// across the pool (including the calling thread). Blocks until done,
@@ -97,7 +79,6 @@ class ThreadPool {
   void reserve_chunks(std::size_t more);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   // Ring of parallel_for chunks: slots are reused, so steady-state
   // dispatch never touches the heap.
   std::vector<Chunk> chunks_;

@@ -18,12 +18,12 @@ namespace {
 
 using testing::MockAdapter;
 
+/// A one-slice daemon over `values` (action 1 = +step on the knob).
 struct DaemonFixture : public ::testing::Test {
   DaemonFixture()
       : adapter(3, 4),
-        space(adapter.tunable_parameters()),
         replay(make_replay_options(), nullptr),
-        daemon(replay, space, 3, 4) {}
+        daemon(replay, {ActionSlice{adapter.tunable_parameters(), 1, &values}}) {}
 
   static rl::ReplayDbOptions make_replay_options() {
     rl::ReplayDbOptions o;
@@ -34,7 +34,7 @@ struct DaemonFixture : public ::testing::Test {
   }
 
   MockAdapter adapter;
-  rl::ActionSpace space;
+  std::vector<double> values{50.0};
   rl::ReplayDb replay;
   InterfaceDaemon daemon;
 };
@@ -96,10 +96,9 @@ TEST_F(DaemonFixture, RewardRecorded) {
 
 TEST_F(DaemonFixture, SuggestedActionAppliesAndBroadcasts) {
   ControlAgent ca0(0, adapter), ca1(1, adapter);
-  daemon.register_control_agent(&ca0);
-  daemon.register_control_agent(&ca1);
-  std::vector<double> values{50.0};
-  const std::size_t recorded = daemon.on_suggested_action(3, 1, values);
+  daemon.register_control_agent(0, &ca0);
+  daemon.register_control_agent(0, &ca1);
+  const std::size_t recorded = daemon.route_suggested_action(3, 1);
   EXPECT_EQ(recorded, 1u);
   EXPECT_DOUBLE_EQ(values[0], 55.0);
   EXPECT_DOUBLE_EQ(adapter.current_parameters()[0], 55.0);
@@ -111,26 +110,25 @@ TEST_F(DaemonFixture, SuggestedActionAppliesAndBroadcasts) {
 
 TEST_F(DaemonFixture, NullActionRecordedNotBroadcast) {
   ControlAgent ca(0, adapter);
-  daemon.register_control_agent(&ca);
-  std::vector<double> values{50.0};
-  daemon.on_suggested_action(4, 0, values);
+  daemon.register_control_agent(0, &ca);
+  daemon.route_suggested_action(4, 0);
   EXPECT_EQ(*replay.action_at(4), 0u);
   EXPECT_EQ(ca.actions_applied(), 0u);
   EXPECT_EQ(daemon.actions_broadcast(), 0u);
 }
 
 TEST_F(DaemonFixture, VetoedActionDegradesToNull) {
-  daemon.action_checker().add_rule(
+  daemon.action_checker(0).add_rule(
       "knob <= 52", [](const std::vector<double>& v) { return v[0] <= 52.0; });
   ControlAgent ca(0, adapter);
-  daemon.register_control_agent(&ca);
-  std::vector<double> values{50.0};
-  const std::size_t recorded = daemon.on_suggested_action(5, 1, values);
+  daemon.register_control_agent(0, &ca);
+  const std::size_t recorded = daemon.route_suggested_action(5, 1);
   EXPECT_EQ(recorded, 0u);                   // vetoed -> NULL
   EXPECT_DOUBLE_EQ(values[0], 50.0);         // unchanged
   EXPECT_EQ(ca.actions_applied(), 0u);
   EXPECT_EQ(*replay.action_at(5), 0u);
-  EXPECT_EQ(daemon.action_checker().vetoed_actions(), 1u);
+  EXPECT_EQ(daemon.action_checker(0).vetoed_actions(), 1u);
+  EXPECT_EQ(daemon.actions_vetoed(), 1u);
 }
 
 TEST_F(DaemonFixture, ControlAgentAppliesDirectly) {
@@ -185,7 +183,7 @@ struct ShardedDaemonFixture : public ::testing::Test {
         domain_a(0, "", adapter_a, throughput_objective(), 0, 1, 0),
         domain_b(1, "", adapter_b, throughput_objective(), 2, 3, 1),
         replay(make_replay_options(), nullptr),
-        daemon(replay, {&domain_a, &domain_b}, 4) {}
+        daemon(replay, {domain_slice(domain_a), domain_slice(domain_b)}) {}
 
   static rl::ReplayDbOptions make_replay_options() {
     rl::ReplayDbOptions o;
@@ -251,6 +249,23 @@ TEST_F(ShardedDaemonFixture, NullActionRecordedForShardZero) {
   EXPECT_EQ(daemon.actions_broadcast(), 0u);
 }
 
+TEST_F(ShardedDaemonFixture, SuggestionBeyondEverySliceRecordsNullAsVeto) {
+  // Slices cover composite actions [1, 5); 5 belongs to no domain. It
+  // must not be decoded (that would index past domain b's parameters):
+  // it is recorded as NULL and counted as a veto, with no broadcast.
+  ControlAgent ca_a(0, adapter_a);
+  ControlAgent ca_b(0, adapter_b);
+  daemon.register_control_agent(0, &ca_a);
+  daemon.register_control_agent(1, &ca_b);
+  EXPECT_EQ(daemon.route_suggested_action(4, 5), 0u);
+  EXPECT_EQ(*replay.action_at(4), 0u);
+  EXPECT_EQ(daemon.actions_broadcast(), 0u);
+  EXPECT_EQ(daemon.actions_vetoed(), 1u);
+  EXPECT_EQ(ca_a.actions_applied(), 0u);
+  EXPECT_EQ(ca_b.actions_applied(), 0u);
+  EXPECT_DOUBLE_EQ(domain_b.param_values()[0], 50.0);
+}
+
 TEST_F(ShardedDaemonFixture, RejectsOutOfRangeShardIndices) {
   // Indexing another domain's checker or agent list out of range used to
   // read shards_ unchecked; now it must throw with the shard count.
@@ -293,7 +308,7 @@ struct TransportedDaemonFixture : public ::testing::Test {
   void wire(const bus::TransportOptions& topts) {
     transport = bus::make_transport(topts);
     daemon = std::make_unique<InterfaceDaemon>(
-        replay, std::vector<ControlDomain*>{&domain}, 4, transport.get());
+        replay, std::vector<ActionSlice>{domain_slice(domain)}, transport.get());
     for (std::size_t n = 0; n < 2; ++n) {
       agents.push_back(std::make_unique<MonitoringAgent>(
           n, n, adapter, *daemon->inbox()));

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/brain_service.hpp"
 #include "core/capes_system.hpp"
@@ -97,11 +98,14 @@ struct RunOutcome {
   std::string baseline_csv;
   std::string tuned_csv;
   std::uint64_t messages_dropped = 0;
+  std::vector<double> parameters;  ///< every domain's, concatenated
 };
 
 /// The §A.4 workflow against either brain; tcp_port 0 = in-process sync.
+/// One RandomRw cluster (control domain) per read fraction.
 RunOutcome run_workflow(std::uint16_t tcp_port,
-                        const std::string& capture_path = "") {
+                        const std::string& capture_path = "",
+                        const std::vector<double>& read_fractions = {0.1}) {
   auto preset = distributed_preset();
   if (tcp_port != 0) {
     preset.capes.transport.kind = bus::TransportKind::kTcp;
@@ -110,12 +114,21 @@ RunOutcome run_workflow(std::uint16_t tcp_port,
   }
   preset.capes.capture_path = capture_path;
   sim::Simulator sim;
-  lustre::Cluster cluster(sim, preset.cluster);
-  workload::RandomRwOptions wopts;
-  wopts.read_fraction = 0.1;
-  workload::RandomRw wl(cluster, wopts);
-  wl.start();
-  core::CapesSystem capes(sim, cluster, preset.capes);
+  std::vector<std::unique_ptr<lustre::Cluster>> clusters;
+  std::vector<std::unique_ptr<workload::RandomRw>> workloads;
+  std::vector<core::ControlDomainSpec> specs;
+  for (const double read_fraction : read_fractions) {
+    clusters.push_back(std::make_unique<lustre::Cluster>(sim, preset.cluster));
+    workload::RandomRwOptions wopts;
+    wopts.read_fraction = read_fraction;
+    workloads.push_back(
+        std::make_unique<workload::RandomRw>(*clusters.back(), wopts));
+    workloads.back()->start();
+    core::ControlDomainSpec spec;
+    spec.adapter = clusters.back().get();
+    specs.push_back(spec);
+  }
+  core::CapesSystem capes(sim, specs, preset.capes);
   sim.run_until(sim::seconds(3));
 
   RunOutcome out;
@@ -129,6 +142,7 @@ RunOutcome run_workflow(std::uint16_t tcp_port,
                          baseline.messages_dropped + tuned.messages_dropped;
   out.fingerprint = capes.training_fingerprint();
   out.train_steps = capes.total_train_steps();
+  out.parameters = capes.parameter_values();
   if (auto* writer = capes.capture_writer()) {
     EXPECT_TRUE(writer->close());
     EXPECT_EQ(writer->records_dropped(), 0u);
@@ -161,6 +175,34 @@ TEST(Distributed, LoopbackTcpMatchesSyncBitExactly) {
   EXPECT_EQ(remote.training_csv, local.training_csv);
   EXPECT_EQ(remote.baseline_csv, local.baseline_csv);
   EXPECT_EQ(remote.tuned_csv, local.tuned_csv);
+}
+
+TEST(Distributed, LoopbackTcpMatchesSyncAcrossThreeDomains) {
+  // Three domains put three action slices on each side of the wire: the
+  // service must route every composite action to the slice that owns it
+  // and check it against that slice's parameter mirror, exactly as the
+  // in-process daemon does against the domains' own vectors.
+  const std::vector<double> read_fractions = {0.1, 0.4, 0.7};
+  const RunOutcome local = run_workflow(0, "", read_fractions);
+  ASSERT_GT(local.train_steps, 0u);
+
+  ServiceThread service;
+  ASSERT_TRUE(service.start());
+  const RunOutcome remote = run_workflow(service.port(), "", read_fractions);
+  const auto report = service.join();
+
+  ASSERT_TRUE(report.hello_ok) << report.error;
+  EXPECT_TRUE(report.clean_shutdown);
+  EXPECT_EQ(report.num_domains, 3u);
+  EXPECT_GT(report.actions_broadcast, 0u);
+  EXPECT_EQ(remote.messages_dropped, 0u);
+  EXPECT_EQ(remote.fingerprint, local.fingerprint);
+  EXPECT_EQ(remote.train_steps, local.train_steps);
+  EXPECT_EQ(report.fingerprint, local.fingerprint);
+  EXPECT_EQ(remote.training_csv, local.training_csv);
+  EXPECT_EQ(remote.baseline_csv, local.baseline_csv);
+  EXPECT_EQ(remote.tuned_csv, local.tuned_csv);
+  EXPECT_EQ(remote.parameters, local.parameters);
 }
 
 TEST(Distributed, CaptureFromDistributedRunReplaysIdentically) {

@@ -14,32 +14,9 @@
 namespace capes::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
-}
-
 TEST(ThreadPool, DefaultSizeNonZero) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 200; ++i) {
-    futs.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFuture) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -153,17 +130,6 @@ TEST(ThreadPool, ConcurrentParallelForCallersAllComplete) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), kReps) << i;
   }
-}
-
-TEST(ThreadPool, DestructionDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins
-  EXPECT_EQ(counter.load(), 50);
 }
 
 }  // namespace
