@@ -47,7 +47,8 @@ std::unique_ptr<core::Experiment> build(core::LearnerMode mode,
                      .workload(benchutil::random_spec(0.5))
                      .warmup_seconds(2)
                      .worker_threads(threads)
-                     .learner(mode);
+                     .learner(mode == core::LearnerMode::kAsync ? "async"
+                                                                : "sync");
   return benchutil::build_or_die(std::move(builder));
 }
 

@@ -9,7 +9,7 @@
 //
 // All of it goes through the core::Experiment facade. Accepts an optional
 // conf-file path (the conf.py analogue); see the keys in
-// core/config_io.hpp. Example:
+// docs/CONFIG.md. Example:
 //     ./build/examples/lustre_tuning my.conf
 
 #include <cstdio>

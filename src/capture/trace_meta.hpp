@@ -6,8 +6,8 @@
 //
 // This is a dedicated binary section rather than a conf-key dump on
 // purpose: several fields that bit-identical replay depends on (the
-// engine and DQN seeds, double-DQN, the epsilon bump schedule, replay
-// retention) have no conf key today, and the meta must never silently
+// engine and DQN seeds, double-DQN, the loss and activation, how long an
+// epsilon bump lasts) have no conf key, and the meta must never silently
 // lose one of them.
 
 #include <cstdint>

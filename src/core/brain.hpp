@@ -44,6 +44,8 @@ enum class RunPhase { kIdle, kTraining, kBaseline, kTuned };
 struct BrainOptions {
   rl::ReplayDbOptions replay;
   DrlEngineOptions engine;
+
+  bool operator==(const BrainOptions&) const = default;
 };
 
 /// The brain a capture's meta (or a Hello's, which carries the same

@@ -54,6 +54,8 @@ struct DrlEngineOptions {
   /// two, and to at least train_steps_per_tick + 1 so one tick's batches
   /// plus a checkpoint job always fit).
   std::size_t learner_queue_depth = 8;
+
+  bool operator==(const DrlEngineOptions&) const = default;
 };
 
 class DrlEngine {

@@ -41,6 +41,7 @@
 
 #include "core/capes_system.hpp"
 #include "core/objective.hpp"
+#include "core/options.hpp"
 #include "core/presets.hpp"
 #include "lustre/cluster.hpp"
 #include "sim/simulator.hpp"
@@ -101,7 +102,7 @@ class ExperimentBuilder {
   /// Seed for the preset's RNGs (cluster, DQN, exploration). Applies on
   /// top of an explicit preset too.
   ExperimentBuilder& seed(std::uint64_t s);
-  /// Overlay a conf file (core/config_io.hpp keys) onto the preset.
+  /// Overlay a conf file (the keys of core/options.cpp) onto the preset.
   ExperimentBuilder& config_file(std::string path);
   /// Workload spec resolved through workload::Registry ("random:0.1", ...).
   /// Defines domain 0 on a bundled Lustre cluster.
@@ -118,8 +119,13 @@ class ExperimentBuilder {
   /// Add one more control domain over a custom adapter (must outlive the
   /// experiment, and agree with every other domain on pis_per_node).
   ExperimentBuilder& add_cluster(TargetSystemAdapter& a);
+  // The option setters below queue a value for the option table's row,
+  // exactly like the matching capes_run flag: build() applies them in
+  // call order on top of the preset, conf file and capes_options(), and
+  // fails on a value the flag would reject.
+
   /// Worker threads for the hot per-tick path (0 = single-threaded;
-  /// see CapesOptions::worker_threads).
+  /// see CapesOptions::worker_threads). Flag: --threads.
   ExperimentBuilder& worker_threads(std::size_t threads);
   /// Simulator event-loop shards: 1 (the default) is the serial
   /// single-queue loop, 0 means "auto" (one event queue per control
@@ -127,56 +133,42 @@ class ExperimentBuilder {
   /// request also caps at the domain count). Shards advance concurrently
   /// on the worker_threads() pool between sampling ticks and meet a
   /// time-synced barrier at every tick — bit-identical to the serial
-  /// loop for a fixed seed (see CapesOptions::sim_shards). Conf key:
-  /// capes.sim.shards.
+  /// loop for a fixed seed (see CapesOptions::sim_shards). Flag:
+  /// --sim-shards.
   ExperimentBuilder& sim_shards(std::size_t shards);
-  /// How control domains map onto those event-loop shards, as a spec
-  /// string: "static" (round-robin d % shards, fixed for the run — the
-  /// default) or "rate" (re-pack domains by last-phase observed event
-  /// counts at every phase boundary, LPT bin-packing with deterministic
-  /// tie-breaks). Placement never changes physics, so either plan is
-  /// bit-identical to the serial loop for a fixed seed. A malformed spec
-  /// fails build(). Conf key: capes.sim.shard_plan.
+  /// How control domains map onto those event-loop shards: "static"
+  /// (round-robin d % shards, fixed for the run — the default) or "rate"
+  /// (re-pack domains by last-phase observed event counts at every phase
+  /// boundary, LPT bin-packing with deterministic tie-breaks). Placement
+  /// never changes physics, so either plan is bit-identical to the serial
+  /// loop for a fixed seed. Flag: --shard-plan.
   ExperimentBuilder& shard_plan(std::string spec);
-  /// Same, from the already-parsed kind.
-  ExperimentBuilder& shard_plan(sim::ShardPlanKind kind);
-  /// Control-network transport for the agent <-> daemon hops, as a spec
-  /// string: "sync" (immediate delivery, the default — bit-identical to
-  /// builds that never call transport()) or
-  /// "sim[:latency_ticks=N,jitter=X,drop=P,seed=N]" (seeded, simulated
-  /// latency / jitter / drop). A malformed spec fails build(). Wins over
-  /// capes_options()/config-file transport settings.
+  /// Control-network transport for the agent <-> daemon hops: "sync"
+  /// (immediate delivery, the default — bit-identical to builds that
+  /// never call transport()), "sim[:latency_ticks=N,jitter=X,drop=P,
+  /// seed=N]" (seeded, simulated latency / jitter / drop) or
+  /// "tcp:host=H,port=N[,...]" (a remote capes_daemond). Flag: --transport.
   ExperimentBuilder& transport(std::string spec);
-  /// Same, from already-parsed options.
-  ExperimentBuilder& transport(bus::TransportOptions opts);
-  /// Deterministic fault injection, as a spec string: "off" (the default
-  /// — bit-identical to builds that never call faults()) or
+  /// Deterministic fault injection: "off" (the default — bit-identical
+  /// to builds that never call faults()) or
   /// "faults[:ost_crash=P,restart_ticks=N,straggler=P,slow_factor=X,
   /// straggler_ticks=N,partition=P,partition_ticks=N,seed=N]". Every
   /// fault fate is a pure hash of (seed, kind, node, tick), so a seeded
-  /// faulted run is bit-identical at any shard/thread count. A malformed
-  /// spec fails build(), as does combining faults with the tcp transport
-  /// (a real control network cannot replay deterministic fates). Conf
-  /// keys: capes.sim.faults.*; CLI: --faults=. Wins over
-  /// capes_options()/config-file fault settings.
+  /// faulted run is bit-identical at any shard/thread count. Combining
+  /// faults with the tcp transport fails build() (a real control network
+  /// cannot replay deterministic fates). Flag: --faults.
   ExperimentBuilder& faults(std::string spec);
-  /// Same, from an already-parsed plan.
-  ExperimentBuilder& faults(sim::FaultPlan plan);
-  /// Where DRL training steps run: LearnerMode::kSync trains inline on
-  /// the control thread (bit-identical to builds that never call this),
-  /// kAsync moves training to a dedicated learner thread that overlaps
-  /// the next tick's simulation — same weights, same actions, by the
-  /// engine's sampling-on-the-control-thread protocol. Conf key:
-  /// capes.learner.mode. Wins over capes_options()/config-file settings.
-  ExperimentBuilder& learner(LearnerMode mode);
-  /// Same, from a spec string: "sync" or "async". Anything else fails
-  /// build() (no silent fallback).
+  /// Where DRL training steps run: "sync" trains inline on the control
+  /// thread (bit-identical to builds that never call this), "async" on a
+  /// dedicated learner thread that overlaps the next tick's simulation —
+  /// same weights, same actions, by the engine's
+  /// sampling-on-the-control-thread protocol. Flag: --learner.
   ExperimentBuilder& learner(std::string spec);
-  /// Persist the learner's full state (weights, optimizer moments, step
-  /// counters) through the durable replay DB every N training ticks
-  /// (0 = off, the default). Takes effect when replay_db_dir() is set.
-  /// Conf key: capes.learner.checkpoint_ticks.
-  ExperimentBuilder& learner_checkpoint_ticks(std::size_t ticks);
+  /// Flight recorder: capture every daemon-boundary message (PI status,
+  /// actions, broadcasts) plus rewards and phase markers to `path` for
+  /// offline replay with `capes_replay` ("" = off, the default). Flag:
+  /// --capture.
+  ExperimentBuilder& capture(std::string path);
   /// Override CapesOptions wholesale (mainly for custom adapters; in
   /// Lustre mode the preset's options are usually right).
   ExperimentBuilder& capes_options(CapesOptions opts);
@@ -191,14 +183,6 @@ class ExperimentBuilder {
   ExperimentBuilder& eval_ticks(std::int64_t ticks);
   /// Simulated warm-up before the first phase (default 5 s).
   ExperimentBuilder& warmup_seconds(double s);
-  /// Durable replay DB directory ("" = memory only).
-  ExperimentBuilder& replay_db_dir(std::string dir);
-  /// Flight recorder: capture every daemon-boundary message (PI status,
-  /// actions, broadcasts) plus rewards and phase markers to `path` for
-  /// offline replay with `capes_replay` ("" = off, the default). Conf
-  /// keys: capes.capture.path / capes.capture.ring; CLI: --capture=.
-  /// Wins over capes_options()/config-file capture settings.
-  ExperimentBuilder& capture(std::string path);
 
   ExperimentBuilder& on_tick(TickObserver f);
   ExperimentBuilder& on_train_step(TrainStepObserver f);
@@ -212,6 +196,11 @@ class ExperimentBuilder {
 
  private:
   friend class Experiment;
+  friend void apply_command_line(const CommandLine& cl,
+                                 ExperimentBuilder& builder);
+  /// Queue `value` for the row capes_run parses `flag` with.
+  ExperimentBuilder& queue_option(const char* flag, std::string value);
+
   /// One domain past domain 0: either a workload spec on a bundled
   /// cluster or a caller-owned adapter.
   struct ExtraDomain {
@@ -225,17 +214,7 @@ class ExperimentBuilder {
   std::string workload_spec_;
   TargetSystemAdapter* adapter_ = nullptr;
   std::vector<ExtraDomain> extra_domains_;
-  std::optional<std::size_t> worker_threads_;
-  std::optional<std::size_t> sim_shards_;
-  std::optional<std::string> shard_plan_spec_;
-  std::optional<sim::ShardPlanKind> shard_plan_kind_;
-  std::optional<std::string> transport_spec_;
-  std::optional<bus::TransportOptions> transport_options_;
-  std::optional<std::string> faults_spec_;
-  std::optional<sim::FaultPlan> faults_plan_;
-  std::optional<LearnerMode> learner_mode_;
-  std::optional<std::string> learner_spec_;
-  std::optional<std::size_t> learner_checkpoint_ticks_;
+  OptionValues option_values_;
   std::optional<CapesOptions> capes_options_;
   ObjectiveFunction objective_;
   bool monitor_servers_ = false;
@@ -243,8 +222,6 @@ class ExperimentBuilder {
   std::int64_t train_ticks_ = -1;
   std::int64_t eval_ticks_ = -1;
   double warmup_seconds_ = 5.0;
-  std::optional<std::string> replay_db_dir_;
-  std::optional<std::string> capture_path_;
   std::vector<TickObserver> tick_observers_;
   std::vector<TrainStepObserver> train_step_observers_;
   std::vector<PhaseObserver> phase_observers_;

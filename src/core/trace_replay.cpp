@@ -4,6 +4,7 @@
 #include <cstring>
 #include <thread>
 
+#include "core/options.hpp"
 #include "sim/fault.hpp"
 #include "stats/changepoint.hpp"
 #include "util/frame.hpp"
@@ -13,19 +14,6 @@ namespace capes::core {
 
 using util::get_le32;
 using util::get_le_f64;
-
-bool parse_replay_speed(const std::string& text, ReplaySpeed* out) {
-  if (text == "realtime") {
-    *out = ReplaySpeed::kRealtime;
-  } else if (text == "fast") {
-    *out = ReplaySpeed::kFast;
-  } else if (text == "max") {
-    *out = ReplaySpeed::kMax;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 TraceReplayer::TraceReplayer() = default;
 TraceReplayer::~TraceReplayer() = default;
@@ -46,23 +34,24 @@ bool TraceReplayer::open(const std::string& path, TraceReplayOptions opts,
     return false;
   }
 
-  BrainOptions brain_opts = brain_options_from_meta(meta_);
+  brain_opts_ = brain_options_from_meta(meta_);
   if (opts_.config_overlay != nullptr) {
-    const CapesOptions& overlay = *opts_.config_overlay;
-    brain_opts.engine = overlay.engine;
-    brain_opts.engine.dqn.num_actions = meta_.num_actions;  // topology is traced
-    brain_opts.engine.learner_mode = LearnerMode::kSync;
-    brain_opts.engine.checkpoint_ticks = 0;
-    // Seeds always come from the capture, overlay or not: a diff should
-    // isolate the hyperparameter change, not add seed noise (and the conf
-    // scheme has no seed keys anyway — seeds flow through --seed presets).
-    brain_opts.engine.seed = meta_.engine_seed;
-    brain_opts.engine.dqn.seed = meta_.dqn_seed;
-    brain_opts.replay.ticks_per_observation = overlay.replay.ticks_per_observation;
-    brain_opts.replay.missing_tolerance = overlay.replay.missing_tolerance;
-    brain_opts.replay.max_ticks_retained = overlay.replay.max_ticks_retained;
+    // The overlay's keys land on the traced configuration. No key reaches
+    // the topology or the seeds; the learner mode and checkpointing stay
+    // as brain_options_from_meta pins them.
+    EvaluationPreset traced;
+    traced.capes.engine = brain_opts_.engine;
+    traced.capes.replay = brain_opts_.replay;
+    std::string conf_error;
+    if (!apply_conf(*opts_.config_overlay, &traced, &conf_error)) {
+      if (error) *error = "config overlay: " + conf_error;
+      return false;
+    }
+    traced.capes.engine.learner_mode = brain_opts_.engine.learner_mode;
+    traced.capes.engine.checkpoint_ticks = brain_opts_.engine.checkpoint_ticks;
+    brain_opts_ = {traced.capes.replay, traced.capes.engine};
   }
-  brain_ = std::make_unique<Brain>(brain_opts, std::vector<ActionSlice>{});
+  brain_ = std::make_unique<Brain>(brain_opts_, std::vector<ActionSlice>{});
   fresh_weights_match_ = brain_->engine().weights_fingerprint() ==
                          meta_.initial_weights_fingerprint;
   if (!fresh_weights_match_ && opts_.config_overlay == nullptr) {

@@ -18,6 +18,7 @@
 #include "capture/wire_log_reader.hpp"
 #include "core/brain.hpp"
 #include "core/capes_system.hpp"
+#include "util/config.hpp"
 
 namespace capes::core {
 
@@ -27,15 +28,13 @@ enum class ReplaySpeed {
   kMax,       ///< no pacing (the determinism-check mode)
 };
 
-/// Parse "realtime" | "fast" | "max"; false leaves `out` untouched.
-bool parse_replay_speed(const std::string& text, ReplaySpeed* out);
-
 struct TraceReplayOptions {
   ReplaySpeed speed = ReplaySpeed::kMax;
-  /// Optional engine/replay hyperparameter overlay (diff mode: same
-  /// traffic, different tuner configuration). Topology and both seeds
-  /// always come from the capture meta so a diff isolates the overlay.
-  const CapesOptions* config_overlay = nullptr;
+  /// Optional conf-file overlay (diff mode: same traffic, different
+  /// tuner configuration): only the keys it names change, on top of the
+  /// configuration the capture traced. Topology, both seeds and the sync
+  /// learner always come from the capture, so a diff isolates the keys.
+  const util::Config* config_overlay = nullptr;
 };
 
 /// Per-phase replay outcome, the PhaseReport analogue diff mode compares.
@@ -94,6 +93,8 @@ class TraceReplayer {
             std::string* error);
 
   const capture::TraceMeta& meta() const { return meta_; }
+  /// The replayed brain's configuration: the meta's, plus the overlay.
+  const BrainOptions& brain_options() const { return brain_opts_; }
 
   /// True when the replayed engine's fresh weights match the fingerprint
   /// the capture recorded at start — i.e. the live run did NOT resume
@@ -108,6 +109,7 @@ class TraceReplayer {
   capture::WireLogReader reader_;
   capture::TraceMeta meta_;
   bool fresh_weights_match_ = true;
+  BrainOptions brain_opts_;
   std::unique_ptr<Brain> brain_;  ///< no action slices: ingest-only
 };
 

@@ -45,6 +45,8 @@ struct DqnOptions {
   bool use_double_dqn = false;
   std::uint64_t seed = 42;
   nn::Activation activation = nn::Activation::kTanh;
+
+  bool operator==(const DqnOptions&) const = default;
 };
 
 /// Result of one training step.

@@ -16,6 +16,8 @@ class EpsilonSchedule {
     std::int64_t anneal_ticks = 7200;  // Table 1: initial exploration period (2 h @ 1 Hz)
     double bump_value = 0.2;       // §3.6: workload-change bump
     std::int64_t bump_ticks = 600; // how long a bump persists before re-annealing
+
+    bool operator==(const Options&) const = default;
   };
 
   EpsilonSchedule() = default;

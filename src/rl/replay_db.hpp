@@ -37,6 +37,8 @@ struct ReplayDbOptions {
   std::size_t ticks_per_observation = 10;  // Table 1: sampling ticks per observation
   double missing_tolerance = 0.2;          // Table 1: missing entry tolerance
   std::size_t max_ticks_retained = 0;      // 0 = unlimited
+
+  bool operator==(const ReplayDbOptions&) const = default;
 };
 
 class ReplayDb {

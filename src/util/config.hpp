@@ -1,8 +1,8 @@
 #pragma once
 // Key-value configuration store — the C++ analogue of the prototype's
 // conf.py. Every daemon (Interface Daemon, DRL Engine, Monitoring/Control
-// Agents) reads its settings from one Config; keys use dotted names such as
-// "drl.minibatch_size" or "lustre.max_rpcs_in_flight".
+// Agents) reads its settings from one Config; keys use dotted names, and
+// core/options.cpp declares every key CAPES reads.
 
 #include <cstdint>
 #include <map>

@@ -111,7 +111,9 @@ std::optional<std::vector<float>> BinaryReader::get_f32_vector() {
 
 bool BinaryReader::get_raw(void* dst, std::size_t size) {
   if (remaining() < size) return false;
-  std::memcpy(dst, data_ + pos_, size);
+  // An empty destination (an empty vector's data()) may be null, and
+  // memcpy's pointers must not be, even for zero bytes.
+  if (size > 0) std::memcpy(dst, data_ + pos_, size);
   pos_ += size;
   return true;
 }

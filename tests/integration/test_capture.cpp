@@ -140,8 +140,8 @@ TEST_F(CaptureIntegration, ConfigOverlayDivergesOnIdenticalTraffic) {
 
   // Same capture, harsher learning rate: the policy diverges, the
   // traffic (status/reward records, ticks) cannot.
-  auto overlay = capture_preset().capes;
-  overlay.engine.dqn.learning_rate = 0.05f;
+  util::Config overlay;
+  overlay.set("drl.learning_rate", "0.05");
   core::TraceReplayOptions opts;
   opts.config_overlay = &overlay;
   core::TraceReplayer diff;
@@ -156,6 +156,51 @@ TEST_F(CaptureIntegration, ConfigOverlayDivergesOnIdenticalTraffic) {
     EXPECT_EQ(diff_report.phases[i].ticks, base_report.phases[i].ticks);
   }
   EXPECT_NE(diff_report.weights_fingerprint, base_report.weights_fingerprint);
+}
+
+TEST_F(CaptureIntegration, EmptyOverlayEqualsNoOverlay) {
+  // An overlay changes only the keys it names: an empty one replays the
+  // traced configuration exactly, fingerprint included.
+  run_captured(path_, 80, 0);
+  std::string error;
+  core::TraceReplayer base;
+  ASSERT_TRUE(base.open(path_, {}, &error)) << error;
+  const auto base_report = base.run();
+
+  const util::Config empty;
+  core::TraceReplayOptions opts;
+  opts.config_overlay = &empty;
+  core::TraceReplayer overlaid;
+  ASSERT_TRUE(overlaid.open(path_, opts, &error)) << error;
+  EXPECT_EQ(overlaid.brain_options(), base.brain_options());
+  const auto report = overlaid.run();
+  EXPECT_EQ(report.weights_fingerprint, base_report.weights_fingerprint);
+  EXPECT_EQ(report.total_train_steps, base_report.total_train_steps);
+}
+
+TEST_F(CaptureIntegration, OneKeyOverlayChangesOnlyThatField) {
+  run_captured(path_, 40, 0);
+  std::string error;
+  core::TraceReplayer base;
+  ASSERT_TRUE(base.open(path_, {}, &error)) << error;
+
+  util::Config overlay;
+  overlay.set("drl.gamma", "0.5");
+  core::TraceReplayOptions opts;
+  opts.config_overlay = &overlay;
+  core::TraceReplayer overlaid;
+  ASSERT_TRUE(overlaid.open(path_, opts, &error)) << error;
+
+  core::BrainOptions expected = base.brain_options();
+  ASSERT_NE(expected.engine.dqn.gamma, 0.5f);
+  expected.engine.dqn.gamma = 0.5f;
+  EXPECT_EQ(overlaid.brain_options(), expected);
+
+  // A value the table cannot parse fails the open, naming the key.
+  overlay.set("drl.gamma", "steep");
+  core::TraceReplayer bad;
+  EXPECT_FALSE(bad.open(path_, opts, &error));
+  EXPECT_NE(error.find("drl.gamma"), std::string::npos) << error;
 }
 
 TEST_F(CaptureIntegration, CaptureFileRecordsAllHops) {

@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/config_io.hpp"
 #include "core/experiment.hpp"
+#include "core/options.hpp"
 #include "core/trace_replay.hpp"
 #include "stats/changepoint.hpp"
 #include "util/config.hpp"
@@ -276,7 +276,10 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   util::Config cfg;
   ASSERT_TRUE(cfg.parse_file(path));
   std::remove(path.c_str());
-  const CapesOptions opts = capes_options_from_config(cfg);
+  EvaluationPreset preset;
+  std::string error;
+  ASSERT_TRUE(apply_conf(cfg, &preset, &error)) << error;
+  const CapesOptions opts = preset.capes;
   EXPECT_DOUBLE_EQ(opts.faults.ost_crash, 0.01);
   EXPECT_EQ(opts.faults.restart_ticks, 9);
   EXPECT_DOUBLE_EQ(opts.faults.straggler, 0.999);
@@ -285,8 +288,10 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   EXPECT_EQ(opts.faults.seed, 77u);
   EXPECT_TRUE(opts.faults.seed_explicit);
 
-  const util::Config dumped = config_from_options(opts, {});
-  const CapesOptions reread = capes_options_from_config(dumped);
+  const util::Config dumped = emit_conf(preset);
+  EvaluationPreset reread_preset;
+  ASSERT_TRUE(apply_conf(dumped, &reread_preset, &error)) << error;
+  const CapesOptions reread = reread_preset.capes;
   EXPECT_DOUBLE_EQ(reread.faults.ost_crash, opts.faults.ost_crash);
   EXPECT_EQ(reread.faults.restart_ticks, opts.faults.restart_ticks);
   EXPECT_DOUBLE_EQ(reread.faults.straggler, opts.faults.straggler);
@@ -294,11 +299,9 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   EXPECT_DOUBLE_EQ(reread.faults.partition, opts.faults.partition);
   EXPECT_EQ(reread.faults.seed, opts.faults.seed);
 
-  // A faultless options struct emits no capes.sim.faults.* keys at all:
-  // dumped configs from faultless runs stay byte-identical to pre-fault
-  // builds.
-  const util::Config clean = config_from_options(CapesOptions{}, {});
-  EXPECT_FALSE(clean.has("capes.sim.faults.ost_crash"));
+  // An unpinned fault seed is not emitted: it stays derived from the
+  // engine seed when the dump is read back.
+  const util::Config clean = emit_conf(EvaluationPreset{});
   EXPECT_FALSE(clean.has("capes.sim.faults.seed"));
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 namespace capes::lustre {
 namespace {
@@ -178,12 +180,17 @@ TEST(Cluster, RetransmitsAfterSustainedOverload) {
   Cluster cluster(sim, o);
   cluster.set_parameters({256.0, 4000.0});
   util::Rng rng(5);
-  // Saturating random writes from all clients.
+  // Saturating random writes from all clients. Each loop re-arms itself
+  // through a weak reference, so the loops die with `loops`, not never.
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (std::size_t c = 0; c < cluster.num_clients(); ++c) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&cluster, c, loop, &rng] {
+    auto loop = loops.emplace_back(std::make_shared<std::function<void()>>());
+    std::weak_ptr<std::function<void()>> weak = loop;
+    *loop = [&cluster, c, weak, &rng] {
       cluster.client(c).write(c + 1, (rng.next_u64() % (1 << 14)) << 16, 65536,
-                              [loop] { (*loop)(); });
+                              [weak] {
+                                if (auto again = weak.lock()) (*again)();
+                              });
     };
     for (int i = 0; i < 50; ++i) (*loop)();
   }

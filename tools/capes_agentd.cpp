@@ -11,223 +11,40 @@
 // in-process run — down to the training fingerprint.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <optional>
 #include <string>
 
-#include "bus/transport.hpp"
 #include "core/experiment.hpp"
+#include "core/options.hpp"
 #include "core/remote_brain.hpp"
-#include "util/parse.hpp"
-#include "workload/registry.hpp"
 
 using namespace capes;
 
 namespace {
 
-struct Args {
-  /// Required --daemon=HOST:PORT: where capes_daemond is listening.
-  std::string daemon_host;
-  std::int64_t daemon_port = 0;
-  /// Connect-retry budget (the daemon may still be binding).
-  std::int64_t connect_timeout_ms = 5000;
-  std::vector<std::string> workloads;
-  std::int64_t clusters = 1;
-  std::optional<std::int64_t> threads;
-  std::optional<std::size_t> sim_shards;
-  std::string conf;
-  std::string csv_prefix;
-  std::string capture;
-  std::int64_t train_ticks = -1;
-  std::int64_t eval_ticks = -1;
-  std::optional<std::uint64_t> seed;
-};
-
-using util::parse_flag;
-
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--daemon", &value)) {
-      const auto colon = value.rfind(':');
-      std::int64_t port = 0;
-      if (colon == std::string::npos || colon == 0 ||
-          !util::parse_i64(value.substr(colon + 1), &port) || port < 1 ||
-          port > 65535) {
-        std::fprintf(stderr,
-                     "invalid value for --daemon: '%s' (expected HOST:PORT "
-                     "with port in [1, 65535])\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->daemon_host = value.substr(0, colon);
-      args->daemon_port = port;
-    } else if (parse_flag(argv[i], "--connect-timeout-ms", &value)) {
-      if (!util::parse_i64(value, &args->connect_timeout_ms) ||
-          args->connect_timeout_ms < 0) {
-        std::fprintf(stderr, "--connect-timeout-ms must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--workload", &value)) {
-      args->workloads.push_back(value);
-    } else if (parse_flag(argv[i], "--clusters", &value)) {
-      if (!util::parse_i64(value, &args->clusters) || args->clusters < 1) {
-        std::fprintf(stderr, "--clusters must be >= 1, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--threads", &value)) {
-      std::int64_t threads = 0;
-      if (!util::parse_i64(value, &threads) || threads < 0) {
-        std::fprintf(stderr, "--threads must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->threads = threads;
-    } else if (parse_flag(argv[i], "--sim-shards", &value)) {
-      if (value == "auto") {
-        args->sim_shards = 0;
-      } else {
-        std::uint64_t shards = 0;
-        if (!util::parse_u64(value, &shards) || shards < 1) {
-          std::fprintf(stderr, "--sim-shards must be >= 1 or 'auto', got "
-                       "'%s'\n", value.c_str());
-          return ParseOutcome::kError;
-        }
-        args->sim_shards = static_cast<std::size_t>(shards);
-      }
-    } else if (parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (parse_flag(argv[i], "--csv", &value)) {
-      args->csv_prefix = value;
-    } else if (parse_flag(argv[i], "--capture", &value)) {
-      if (value.empty()) {
-        std::fprintf(stderr, "--capture needs a file path\n");
-        return ParseOutcome::kError;
-      }
-      args->capture = value;
-    } else if (parse_flag(argv[i], "--train-ticks", &value)) {
-      if (!util::parse_i64(value, &args->train_ticks) ||
-          args->train_ticks < 0) {
-        std::fprintf(stderr, "--train-ticks must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--eval-ticks", &value)) {
-      if (!util::parse_i64(value, &args->eval_ticks) || args->eval_ticks < 0) {
-        std::fprintf(stderr, "--eval-ticks must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--seed", &value)) {
-      std::uint64_t seed = 0;
-      if (!util::parse_u64(value, &seed)) {
-        std::fprintf(stderr, "invalid value for --seed: '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->seed = seed;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  return ParseOutcome::kOk;
-}
-
-void print_usage() {
-  std::printf(
-      "usage: capes_agentd --daemon=HOST:PORT [--connect-timeout-ms=N]\n"
-      "                    [--workload=SPEC]... [--clusters=N] [--threads=N]\n"
-      "                    [--sim-shards=auto|N] [--conf=FILE]\n"
-      "                    [--train-ticks=N] [--eval-ticks=N] [--csv=PREFIX]\n"
-      "                    [--capture=FILE] [--seed=N] [--help]\n"
-      "\n"
-      "Runs the agent-side half of a distributed CAPES deployment: the\n"
-      "simulated cluster with its Monitoring and Control Agents, connected\n"
-      "over TCP to a capes_daemond that hosts the Interface Daemon and DRL\n"
-      "Engine. --daemon names that process (required); the connection\n"
-      "retries with capped backoff for --connect-timeout-ms, so either\n"
-      "process may start first. Every other flag matches capes_run: the\n"
-      "workflow is the same train -> baseline -> tuned sequence, CSV and\n"
-      "capture output are byte-compatible, and over loopback with zero\n"
-      "loss the printed training fingerprint is bit-identical to\n"
-      "'capes_run --transport=sync' at the same seed. If the daemon dies\n"
-      "mid-run the agent finishes the phase offline (actions stop, loss is\n"
-      "counted in the messages_dropped column) and exits cleanly.\n"
-      "See docs/CONFIG.md for the distributed-run reference.\n");
-}
+constexpr const char* kAbout =
+    "Runs the agent-side half of a distributed CAPES deployment: the\n"
+    "simulated cluster with its Monitoring and Control Agents, connected\n"
+    "over TCP to a capes_daemond that hosts the Interface Daemon and DRL\n"
+    "Engine. The connection retries with capped backoff, so either process\n"
+    "may start first. Every other flag matches capes_run: over loopback the\n"
+    "training fingerprint is bit-identical to 'capes_run --transport=sync'\n"
+    "at the same seed. If the daemon dies mid-run the agent finishes the\n"
+    "phase offline (loss is counted in messages_dropped) and exits cleanly.\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  core::CommandLine args;
+  if (const auto exit_code =
+          core::parse_or_exit(core::kCapesAgentd, argc, argv, kAbout, &args)) {
+    return *exit_code;
   }
-  if (args.daemon_host.empty()) {
-    std::fprintf(stderr, "--daemon=HOST:PORT is required\n");
-    print_usage();
-    return 2;
-  }
-  if (args.clusters > 1 && args.workloads.size() > 1) {
-    std::fprintf(stderr,
-                 "--clusters replicates a single --workload spec; pass either "
-                 "--clusters=N or repeated --workload flags, not both\n");
-    return 2;
-  }
-
-  std::vector<std::string> specs =
-      args.workloads.empty() ? std::vector<std::string>{"random:0.1"}
-                             : args.workloads;
-  if (args.clusters > 1) {
-    const std::string replicated = specs[0];
-    specs.assign(static_cast<std::size_t>(args.clusters), replicated);
-  }
-
-  const std::string transport_spec =
-      "tcp:host=" + args.daemon_host +
-      ",port=" + std::to_string(args.daemon_port) +
-      ",connect_timeout_ms=" + std::to_string(args.connect_timeout_ms);
-
-  auto builder = core::Experiment::builder()
-                     .workload(specs[0])
-                     .transport(transport_spec)
-                     .train_ticks(args.train_ticks)
-                     .eval_ticks(args.eval_ticks);
-  for (std::size_t i = 1; i < specs.size(); ++i) builder.add_cluster(specs[i]);
-  if (args.threads) {
-    builder.worker_threads(static_cast<std::size_t>(*args.threads));
-  }
-  if (args.sim_shards) builder.sim_shards(*args.sim_shards);
-  if (args.seed) builder.seed(*args.seed);
-  if (!args.capture.empty()) builder.capture(args.capture);
-  if (!args.conf.empty()) builder.config_file(args.conf);
-  if (!args.csv_prefix.empty()) {
-    builder.on_phase_end([&args](const core::PhaseReport& report) {
-      const std::string path = args.csv_prefix + "_" + report.label + ".csv";
-      std::ofstream out(path);
-      out << core::run_result_csv(report.result);
-      if (out) {
-        std::printf("  wrote %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "  cannot write %s\n", path.c_str());
-      }
-    });
-  }
+  auto builder = core::Experiment::builder();
+  core::apply_command_line(args, builder);
+  builder.transport("tcp:host=" + args.daemon.host +
+                    ",port=" + std::to_string(args.daemon.port) +
+                    ",connect_timeout_ms=" +
+                    std::to_string(args.connect_timeout_ms));
 
   std::string error;
   auto experiment = builder.build(&error);
@@ -239,8 +56,8 @@ int main(int argc, char** argv) {
   const std::int64_t train = experiment->default_train_ticks();
   std::printf("daemon %s:%lld, workload %s, %lld training ticks, %lld eval "
               "ticks, seed %llu\n",
-              args.daemon_host.c_str(),
-              static_cast<long long>(args.daemon_port),
+              args.daemon.host.c_str(),
+              static_cast<long long>(args.daemon.port),
               experiment->workload_name().c_str(),
               static_cast<long long>(train),
               static_cast<long long>(experiment->default_eval_ticks()),

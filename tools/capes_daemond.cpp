@@ -12,101 +12,34 @@
 // pair without coordinating port numbers.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/brain_service.hpp"
+#include "core/options.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
 
 namespace {
 
-struct Args {
-  std::string host = "127.0.0.1";
-  /// 0 = ephemeral: the kernel picks, the daemon prints the real port.
-  std::int64_t port = 4890;
-  /// How long to wait for the agent to connect (-1 = forever).
-  std::int64_t accept_timeout_ms = 30000;
-  /// Declare a silent peer dead after this long (heartbeats keep a
-  /// healthy but idle link well under it).
-  std::int64_t idle_timeout_ms = 30000;
-};
-
-using util::parse_flag;
-
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--host", &value)) {
-      args->host = value;
-    } else if (parse_flag(argv[i], "--port", &value)) {
-      std::int64_t port = 0;
-      if (!util::parse_i64(value, &port) || port < 0 || port > 65535) {
-        std::fprintf(stderr, "--port must be in [0, 65535], got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->port = port;
-    } else if (parse_flag(argv[i], "--accept-timeout-ms", &value)) {
-      if (!util::parse_i64(value, &args->accept_timeout_ms)) {
-        std::fprintf(stderr, "invalid value for --accept-timeout-ms: '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--idle-timeout-ms", &value)) {
-      if (!util::parse_i64(value, &args->idle_timeout_ms) ||
-          args->idle_timeout_ms < 0) {
-        std::fprintf(stderr, "--idle-timeout-ms must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  return ParseOutcome::kOk;
-}
-
-void print_usage() {
-  std::printf(
-      "usage: capes_daemond [--host=ADDR] [--port=N] [--accept-timeout-ms=N]\n"
-      "                     [--idle-timeout-ms=N] [--help]\n"
-      "\n"
-      "Hosts the Interface Daemon + DRL Engine half of a distributed CAPES\n"
-      "run: listens on --host:--port (default 127.0.0.1:4890), accepts one\n"
-      "capes_agentd connection, and serves its training session — the run\n"
-      "topology arrives in the agent's handshake, so the daemon needs no\n"
-      "workload configuration of its own. --port=0 lets the kernel pick an\n"
-      "ephemeral port; the daemon prints 'listening on HOST:PORT' (flushed)\n"
-      "before accepting, so scripts can read the port back. The process\n"
-      "exits after the session: 0 on a clean agent Bye or link death (loss\n"
-      "is the agent's to report), 1 on a setup or protocol error.\n"
-      "--accept-timeout-ms bounds the wait for the agent (-1 = forever);\n"
-      "--idle-timeout-ms declares a silent peer dead (0 = never).\n"
-      "See docs/CONFIG.md for the distributed-run reference.\n");
-}
+constexpr const char* kAbout =
+    "Hosts the Interface Daemon + DRL Engine half of a distributed CAPES\n"
+    "run: listens on --host:--port, accepts one capes_agentd connection and\n"
+    "serves its training session. The run topology arrives in the agent's\n"
+    "handshake, so the daemon needs no workload configuration of its own.\n"
+    "It prints 'listening on HOST:PORT' (flushed) before accepting, so\n"
+    "scripts can read back an ephemeral port. Exits after the session: 0 on\n"
+    "a clean agent Bye or link death (loss is the agent's to report), 1 on a\n"
+    "setup or protocol error.\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  core::CommandLine args;
+  if (const auto exit_code =
+          core::parse_or_exit(core::kCapesDaemond, argc, argv, kAbout, &args)) {
+    return *exit_code;
   }
 
   std::string error;

@@ -13,86 +13,29 @@
 // records exits nonzero.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "core/config_io.hpp"
+#include "core/options.hpp"
 #include "core/trace_replay.hpp"
 #include "util/config.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
 
 namespace {
 
-struct Args {
-  std::string capture;  ///< required
-  core::ReplaySpeed speed = core::ReplaySpeed::kMax;
-  std::string conf;  ///< optional overlay for the (first) replay
-  std::string diff;  ///< second conf: replay twice and compare phases
-};
+constexpr const char* kAbout =
+    "Replays a capes_run --capture= flight recording into a fresh\n"
+    "Interface Daemon + DRL Engine: the traced PI bytes hit fresh decoders\n"
+    "in delivery order and training-phase action records drive real train\n"
+    "steps (train-from-trace). --conf applies its keys onto the traced\n"
+    "configuration: same traffic, different tuner. Torn or corrupt tails\n"
+    "truncate at the last valid record (reported); only a capture with zero\n"
+    "valid records fails.\n";
 
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (util::parse_flag(argv[i], "--capture", &value)) {
-      args->capture = value;
-    } else if (util::parse_flag(argv[i], "--speed", &value)) {
-      if (!core::parse_replay_speed(value, &args->speed)) {
-        std::fprintf(stderr,
-                     "invalid value for --speed: '%s' (expected realtime, "
-                     "fast or max)\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (util::parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (util::parse_flag(argv[i], "--diff", &value)) {
-      args->diff = value;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  if (args->capture.empty()) {
-    std::fprintf(stderr, "--capture=FILE is required\n");
-    return ParseOutcome::kError;
-  }
-  return ParseOutcome::kOk;
-}
-
-void print_usage() {
-  std::printf(
-      "usage: capes_replay --capture=FILE [--speed=realtime|fast|max]\n"
-      "                    [--conf=FILE] [--diff=FILE] [--help]\n"
-      "\n"
-      "Replays a capes_run --capture= flight recording into a fresh\n"
-      "Interface Daemon + DRL Engine: the traced PI bytes hit fresh\n"
-      "decoders in delivery order and training-phase action records drive\n"
-      "real train steps (train-from-trace). At --speed=max (the default) a\n"
-      "seeded capture reproduces the live run's training fingerprint\n"
-      "bit-for-bit; realtime paces one sampling tick per trace tick and\n"
-      "fast runs 20x that.\n"
-      "--conf=FILE overlays engine/replay hyperparameters (core conf keys)\n"
-      "onto the traced configuration — same traffic, different tuner.\n"
-      "--diff=FILE replays twice, the second time under FILE's keys, and\n"
-      "prints the per-phase outcomes side by side.\n"
-      "Torn/corrupt tails truncate at the last valid record (reported);\n"
-      "only a capture with zero valid records fails.\n");
-}
-
-bool load_overlay(const std::string& path, core::CapesOptions* out) {
-  util::Config cfg;
-  if (!cfg.parse_file(path)) {
-    std::fprintf(stderr, "cannot parse config file '%s'\n", path.c_str());
-    return false;
-  }
-  *out = core::capes_options_from_config(cfg);
-  return true;
+bool load_overlay(const std::string& path, util::Config* out) {
+  if (path.empty() || out->parse_file(path)) return true;
+  std::fprintf(stderr, "cannot parse config file '%s'\n", path.c_str());
+  return false;
 }
 
 const char* speed_name(core::ReplaySpeed speed) {
@@ -155,7 +98,7 @@ void print_report(const core::TraceReplayReport& report) {
 }
 
 /// One replay pass. Returns false only on open failure.
-bool replay_once(const Args& args, const core::CapesOptions* overlay,
+bool replay_once(const core::CommandLine& args, const util::Config* overlay,
                  core::TraceReplayReport* out) {
   core::TraceReplayOptions opts;
   opts.speed = args.speed;
@@ -178,24 +121,19 @@ bool replay_once(const Args& args, const core::CapesOptions* overlay,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  core::CommandLine args;
+  if (const auto exit_code =
+          core::parse_or_exit(core::kCapesReplay, argc, argv, kAbout, &args)) {
+    return *exit_code;
   }
-
-  core::CapesOptions conf_overlay;
   const bool have_conf = !args.conf.empty();
-  if (have_conf && !load_overlay(args.conf, &conf_overlay)) return 2;
-  core::CapesOptions diff_overlay;
   const bool have_diff = !args.diff.empty();
-  if (have_diff && !load_overlay(args.diff, &diff_overlay)) return 2;
+  util::Config conf_overlay;
+  util::Config diff_overlay;
+  if (!load_overlay(args.conf, &conf_overlay) ||
+      !load_overlay(args.diff, &diff_overlay)) {
+    return 2;
+  }
 
   core::TraceReplayReport report;
   if (!replay_once(args, have_conf ? &conf_overlay : nullptr, &report)) {
